@@ -11,8 +11,11 @@ behavior only) as streaming Ray Data pipelines over Arrow batches:
   (H3/S2 stand-in, :mod:`city2graph_ray.cells`); "near each other"
   operators are cell-bucketed ``groupby`` shuffles with neighbor-cell
   halo duplication and hot-cell salting,
-- stateful stages (per-tile KD-style indexes, reachability fields) are
-  actor pools (`map_batches(Cls, concurrency=...)`),
+- stateful stages (per-tile KD-style indexes, reachability fields) go
+  through :func:`city2graph_ray.joins.broadcast_map`: the state is put
+  once per call, prepared once per worker process (a fixed-size memo
+  that drops states idle for a few seconds), and the stages run as
+  plain tasks that give their slot back,
 - everything streams; no full materialization in the hot path.
 """
 

@@ -2,8 +2,8 @@
 
 Two strategies, chosen explicitly by the caller (SURVEY.md §2.4):
 
-- ``broadcast_join`` — small side pinned once in the object store via
-  ``ray.put`` and merged per batch inside ``map_batches`` (no shuffle).
+- ``broadcast_join`` — small side put once in the object store and
+  merged per batch by :func:`broadcast_map` (no shuffle).
   This is the engine's default for dimension-table lookups (stops
   geometry, zone-id sets, node-id maps after dedup).
 - ``bucketed_join`` — both sides large: add ``__bucket = hash(key) % B``
@@ -17,12 +17,96 @@ here keep the shuffle strategy visible and version-independent.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+import time
+from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 import pandas as pd
 import ray
 import ray.data
+from ray import cloudpickle
+
+
+# Per-worker memo of prepared broadcast states, keyed by (object-ref id,
+# digest of the pickled ``prepare``).  Plain Ray Data tasks reuse worker
+# processes, so a state is fetched and prepared once per worker, as an
+# actor's ``__init__`` would, but no process holds a slot after its last
+# batch.  The memo keeps the most recently used few states, and a daemon
+# thread drops any state no batch has used for ``_PREPARED_IDLE_S``: a
+# finished stage's index, and the object-store pages its arrays view,
+# are released shortly after its last batch, as an exiting actor's were.
+_PREPARED: OrderedDict[tuple, list] = OrderedDict()  # key -> [value, users, last use]
+_PREPARED_MAX = 4
+_PREPARED_IDLE_S = 5.0
+_PREPARED_LOCK = threading.Lock()
+_SWEEPER: threading.Thread | None = None
+
+
+def _sweep() -> None:
+    global _SWEEPER
+    while True:
+        time.sleep(_PREPARED_IDLE_S / 2)
+        with _PREPARED_LOCK:
+            now = time.monotonic()
+            for key in [k for k, (_, users, last) in _PREPARED.items()
+                        if users == 0 and now - last >= _PREPARED_IDLE_S]:
+                del _PREPARED[key]
+            if not _PREPARED:
+                _SWEEPER = None
+                return
+
+
+def _run_prepared(fn, batch, ref: ray.ObjectRef, key: tuple, prepare):
+    global _SWEEPER
+    with _PREPARED_LOCK:
+        entry = _PREPARED.get(key)
+        if entry is None:
+            state = ray.get(ref)
+            entry = [prepare(state) if prepare is not None else state, 0, 0.0]
+            _PREPARED[key] = entry
+            if len(_PREPARED) > _PREPARED_MAX:
+                _PREPARED.popitem(last=False)
+            if _SWEEPER is None:
+                _SWEEPER = threading.Thread(target=_sweep, daemon=True)
+                _SWEEPER.start()
+        _PREPARED.move_to_end(key)
+        entry[1] += 1
+    try:
+        return fn(batch, entry[0])
+    finally:
+        with _PREPARED_LOCK:
+            entry[1] -= 1
+            entry[2] = time.monotonic()
+
+
+def broadcast_map(
+    ds: ray.data.Dataset,
+    state,
+    fn,
+    prepare=None,
+    batch_size: int | None = None,
+) -> ray.data.Dataset:
+    """Run ``fn(batch, prepared)`` over ``ds`` (pandas batches) as plain
+    Ray Data tasks.
+
+    ``state`` is put into the object store once per call (an
+    ``ObjectRef`` is used as is); ``prepared`` is ``prepare(state)``,
+    or the state itself, computed at most once per worker process while
+    the stage runs."""
+    ref = state if isinstance(state, ray.ObjectRef) else ray.put(state)
+    key = (ref.binary(), None if prepare is None
+           else hashlib.sha1(cloudpickle.dumps(prepare)).digest())
+
+    def _run(batch):
+        return _run_prepared(fn, batch, ref, key, prepare)
+
+    # name the Ray Data operator after the stage: MapBatches(<fn>)
+    _run.__name__ = _run.__qualname__ = getattr(fn, "__name__", "_run")
+    return ds.map_batches(_run, batch_format="pandas",
+                          batch_size=batch_size)
 
 
 def broadcast_join(
@@ -32,19 +116,11 @@ def broadcast_join(
     how: str = "inner",
     batch_size: int | None = None,
 ) -> ray.data.Dataset:
-    """Merge a small pandas side into every batch. Small side shipped to
-    the object store ONCE (ray.put), read per actor/task, never per batch."""
-    ref = ray.put(small_df)
+    """Merge a small pandas side into every batch (no shuffle)."""
+    def merge(batch: pd.DataFrame, small: pd.DataFrame) -> pd.DataFrame:
+        return batch.merge(small, on=on, how=how)
 
-    class _Merge:
-        def __init__(self):
-            self.small = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.merge(self.small, on=on, how=how)
-
-    return ds.map_batches(_Merge, batch_format="pandas", batch_size=batch_size,
-                          concurrency=(1, 8))
+    return broadcast_map(ds, small_df, merge, batch_size=batch_size)
 
 
 def semi_filter(
@@ -55,17 +131,12 @@ def semi_filter(
 ) -> ray.data.Dataset:
     """Semi (keep=True) / anti (keep=False) join against a broadcast key set."""
     arr = np.asarray(sorted(keys)) if isinstance(keys, set) else np.unique(np.asarray(keys))
-    ref = ray.put(arr)
 
-    class _Filter:
-        def __init__(self):
-            self.keys = ray.get(ref)
+    def _filter(batch: pd.DataFrame, keys: np.ndarray) -> pd.DataFrame:
+        mask = np.isin(batch[column].to_numpy(), keys)
+        return batch[mask if keep else ~mask]
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            mask = np.isin(batch[column].to_numpy(), self.keys)
-            return batch[mask if keep else ~mask]
-
-    return ds.map_batches(_Filter, batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(ds, arr, _filter)
 
 
 def bucketed_join(

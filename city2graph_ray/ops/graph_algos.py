@@ -23,7 +23,7 @@ import ray
 import ray.data
 
 from city2graph_ray import shuffle
-from city2graph_ray.joins import bucketed_join
+from city2graph_ray.joins import broadcast_map, bucketed_join
 
 
 def _node_column(edges: ray.data.Dataset, col: str) -> ray.data.Dataset:
@@ -864,6 +864,11 @@ def clustering_coefficient(edges: ray.data.Dataset, src: str = "src",
         return shuffle.group_agg(ends, ["node"], {"d": ("node", "size")},
                                  num_buckets=num_buckets).materialize()
 
+    ntype = pa.int64()
+    for name, typ in zip(edges.schema().names, edges.schema().types):
+        if name == src and isinstance(typ, pa.DataType):
+            ntype = typ
+
     if max_degree is not None:
         from city2graph_ray.joins import semi_filter
         degf = _degrees(und)
@@ -880,17 +885,12 @@ def clustering_coefficient(edges: ray.data.Dataset, src: str = "src",
             # cap removed every edge: typed empty (all-empty pandas
             # blocks lose their columns — the repo-wide gotcha)
             return ray.data.from_arrow(pa.table({
-                "node": pa.array([], pa.int64()),
+                "node": pa.array([], ntype),
                 "triangles": pa.array([], pa.int64()),
                 "degree": pa.array([], pa.int64()),
                 "coeff": pa.array([], pa.float64())}))
 
     deg = _degrees(und)
-
-    ntype = pa.int64()
-    for name, typ in zip(edges.schema().names, edges.schema().types):
-        if name == src and isinstance(typ, pa.DataType):
-            ntype = typ
     und_schema = pa.schema([("a", ntype), ("b", ntype)])
 
     w_a = bucketed_join(
@@ -1855,7 +1855,6 @@ def betweenness_centrality(edges: ray.data.Dataset, src: str = "src",
                            dst: str = "dst",
                            sources: ray.data.Dataset | None = None,
                            num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                           concurrency: tuple[int, int] = (1, 8),
                            source_batch: int = 64) -> ray.data.Dataset:
     """Brandes betweenness centrality (Brandes 2001, public
     literature) of the UNDIRECTED simplification, unweighted, exact
@@ -1867,9 +1866,9 @@ def betweenness_centrality(edges: ray.data.Dataset, src: str = "src",
 
     Scale shape — the SOURCE dimension is the parallel axis, the
     graph is the broadcast small side (same contract as the network-
-    Dijkstra actor, ops/network.py:46, and the reference's NetworkX
-    ops): CSR arrays ship once via ``ray.put``, an actor pool maps
-    over batches of sources, each actor accumulates its sources'
+    Dijkstra stage in ops/network.py, and the reference's NetworkX
+    ops): CSR arrays ship once through ``broadcast_map``, tasks map
+    over batches of sources, each batch accumulates its sources'
     dependency vectors locally and emits ONE partial row per touched
     node per batch; a keyed sum reduces across batches.  Per-source
     work is the vectorized level-BFS (np.add.at over level edge
@@ -1908,60 +1907,57 @@ def betweenness_centrality(edges: ray.data.Dataset, src: str = "src",
     indptr = np.zeros(len(ids) + 1, np.int64)
     np.add.at(indptr, heads + 1, 1)
     indptr = np.cumsum(indptr)
-    gref = ray.put((indptr, nbrs, ids))
-
     if sources is None:
         sources = ray.data.from_pandas(
             pd.DataFrame({"source": ids.astype(np.int64)}))
 
-    class Brandes:
-        def __init__(self):
-            self.indptr, self.nbrs, self.ids = ray.get(gref)
-            self.pos = pd.Series(np.arange(len(self.ids)),
-                                 index=self.ids)
+    def one(s: int, indptr: np.ndarray, nbrs: np.ndarray,
+            delta_acc: np.ndarray) -> None:
+        n = len(delta_acc)
+        dist = np.full(n, -1, np.int64)
+        sigma = np.zeros(n, np.float64)
+        dist[s] = 0
+        sigma[s] = 1.0
+        frontier = np.array([s], np.int64)
+        level_edges = []
+        d = 0
+        while len(frontier):
+            # all CSR out-edges of the frontier, vectorized
+            cnt = indptr[frontier + 1] - indptr[frontier]
+            v = np.repeat(frontier, cnt)
+            starts = np.repeat(indptr[frontier], cnt)
+            offs = (np.arange(len(v))
+                    - np.repeat(np.cumsum(cnt) - cnt, cnt))
+            w = nbrs[starts + offs]
+            new_mask = dist[w] == -1
+            dist[w[new_mask]] = d + 1
+            tree = dist[w] == d + 1
+            np.add.at(sigma, w[tree], sigma[v[tree]])
+            level_edges.append((v[tree], w[tree]))
+            frontier = np.unique(w[new_mask])
+            d += 1
+        delta = np.zeros(n, np.float64)
+        for v, w in reversed(level_edges):
+            np.add.at(delta, v,
+                      sigma[v] / sigma[w] * (1.0 + delta[w]))
+        delta[s] = 0.0
+        delta_acc += delta
 
-        def _one(self, s: int, delta_acc: np.ndarray) -> None:
-            n = len(self.ids)
-            dist = np.full(n, -1, np.int64)
-            sigma = np.zeros(n, np.float64)
-            dist[s] = 0
-            sigma[s] = 1.0
-            frontier = np.array([s], np.int64)
-            level_edges = []
-            d = 0
-            while len(frontier):
-                # all CSR out-edges of the frontier, vectorized
-                cnt = self.indptr[frontier + 1] - self.indptr[frontier]
-                v = np.repeat(frontier, cnt)
-                starts = np.repeat(self.indptr[frontier], cnt)
-                offs = (np.arange(len(v))
-                        - np.repeat(np.cumsum(cnt) - cnt, cnt))
-                w = self.nbrs[starts + offs]
-                new_mask = dist[w] == -1
-                dist[w[new_mask]] = d + 1
-                tree = dist[w] == d + 1
-                np.add.at(sigma, w[tree], sigma[v[tree]])
-                level_edges.append((v[tree], w[tree]))
-                frontier = np.unique(w[new_mask])
-                d += 1
-            delta = np.zeros(n, np.float64)
-            for v, w in reversed(level_edges):
-                np.add.at(delta, v,
-                          sigma[v] / sigma[w] * (1.0 + delta[w]))
-            delta[s] = 0.0
-            delta_acc += delta
+    def with_pos(graph: tuple) -> tuple:
+        ids_ = graph[2]
+        return graph + (pd.Series(np.arange(len(ids_)), index=ids_),)
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            acc = np.zeros(len(self.ids), np.float64)
-            for s in self.pos[batch["source"].to_numpy()].to_numpy():
-                self._one(int(s), acc)
-            nz = np.nonzero(acc)[0]
-            return pd.DataFrame({"node": self.ids[nz].astype(np.int64),
-                                 "bc": acc[nz]})
+    def brandes(batch: pd.DataFrame, graph: tuple) -> pd.DataFrame:
+        indptr_, nbrs_, ids_, pos_ = graph
+        acc = np.zeros(len(ids_), np.float64)
+        for s in pos_[batch["source"].to_numpy()].to_numpy():
+            one(int(s), indptr_, nbrs_, acc)
+        nz = np.nonzero(acc)[0]
+        return pd.DataFrame({"node": ids_[nz].astype(np.int64),
+                             "bc": acc[nz]})
 
-    parts = sources.map_batches(Brandes, batch_format="pandas",
-                                batch_size=source_batch,
-                                concurrency=concurrency)
+    parts = broadcast_map(sources, (indptr, nbrs, ids), brandes,
+                          prepare=with_pos, batch_size=source_batch)
     out = shuffle.group_agg(parts, ["node"], {"bc": ("bc", "sum")},
                             num_buckets=num_buckets)
     # undirected: each (s,t) pair contributes from both endpoints

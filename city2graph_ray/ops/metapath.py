@@ -22,7 +22,8 @@ import ray
 import ray.data
 
 from city2graph_ray import shuffle
-from city2graph_ray.joins import bucketed_join
+from city2graph_ray.joins import broadcast_map, bucketed_join
+from city2graph_ray.ops.network import nx_graph
 
 
 def add_metapaths(
@@ -158,32 +159,22 @@ def add_metapaths_by_weight(
 
     The edge list (the *network*, small side) is broadcast once; each
     batch of source nodes runs bounded Dijkstra (cutoff=max_cost) —
-    an actor-pool stage with the adjacency built once per actor."""
-    ref = ray.put(edges[["src", "dst", weight_col]])
+    the adjacency is built once per worker."""
+    def dijkstra(batch: pd.DataFrame, g) -> pd.DataFrame:
+        import networkx as nx
+        rows = []
+        for nid in batch["id"]:
+            if nid not in g:
+                continue
+            lengths = nx.single_source_dijkstra_path_length(
+                g, nid, cutoff=max_cost, weight="weight")
+            for tgt, cost in lengths.items():
+                if tgt != nid and cost >= min_cost:
+                    rows.append((nid, tgt, cost))
+        return (pd.DataFrame(rows, columns=["src", "dst", "cost"]) if rows
+                else pd.DataFrame({"src": pd.Series(dtype=np.int64),
+                                   "dst": pd.Series(dtype=np.int64),
+                                   "cost": pd.Series(dtype=np.float64)}))
 
-    class Dijkstra:
-        def __init__(self):
-            import networkx as nx
-            e = ray.get(ref)
-            self.g = nx.Graph()
-            for s, d, w in e.itertuples(index=False):
-                self.g.add_edge(s, d, weight=float(w))
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            import networkx as nx
-            rows = []
-            for nid in batch["id"]:
-                if nid not in self.g:
-                    continue
-                lengths = nx.single_source_dijkstra_path_length(
-                    self.g, nid, cutoff=max_cost, weight="weight")
-                for tgt, cost in lengths.items():
-                    if tgt != nid and cost >= min_cost:
-                        rows.append((nid, tgt, cost))
-            return (pd.DataFrame(rows, columns=["src", "dst", "cost"]) if rows
-                    else pd.DataFrame({"src": pd.Series(dtype=np.int64),
-                                       "dst": pd.Series(dtype=np.int64),
-                                       "cost": pd.Series(dtype=np.float64)}))
-
-    return nodes.map_batches(Dijkstra, batch_format="pandas",
-                             batch_size=batch_size, concurrency=(1, 8))
+    return broadcast_map(nodes, edges[["src", "dst", weight_col]], dijkstra,
+                         prepare=nx_graph, batch_size=batch_size)

@@ -41,6 +41,7 @@ import ray.data
 from city2graph_ray import cells as cellmod
 from city2graph_ray import shuffle
 from city2graph_ray.geom.kernels import points_in_polygon
+from city2graph_ray.joins import broadcast_map
 
 
 # ------------------------------------------------------------------ enclosures
@@ -425,7 +426,6 @@ def _enc_cell_chunk(enc: pd.DataFrame, lo: int, hi: int, cs: float):
 def assign_buildings_to_enclosures(buildings: ray.data.Dataset,
                                    enclosures,
                                    broadcast_threshold: int = 4096,
-                                   cell_size: float | None = None,
                                    ) -> ray.data.Dataset:
     """Tag each building (id, x, y centroid) with its enclosure_index
     (-1 = unenclosed, mirroring momepy's negative indices for
@@ -451,8 +451,8 @@ def assign_buildings_to_enclosures(buildings: ray.data.Dataset,
     Input envelope (ADVICE r4): the cell path requires losslessly
     int64-castable building ids (it ships them through a typed Arrow
     shuffle and joins back on them) — non-castable ids raise a clear
-    ``TypeError`` per batch instead of silently truncating.  And
-    ``cell_size`` is clamped to ``max_bbox_side / max_cells_per_side``
+    ``TypeError`` per batch instead of silently truncating.  And the
+    cell size is clamped to ``max_bbox_side / max_cells_per_side``
     so a single outlier enclosure (one polygon spanning thousands of
     median-sized cells) replicates its ring blob to at most
     ``(max_cells_per_side+1)²`` cells rather than an unbounded number.
@@ -462,28 +462,22 @@ def assign_buildings_to_enclosures(buildings: ray.data.Dataset,
     max_cells_per_side = 64
 
     if n_enc <= broadcast_threshold:
-        class Assign:
-            def __init__(self):
-                self.enc = ray.get(ref)
+        def assign(batch: pd.DataFrame, enc: pd.DataFrame) -> pd.DataFrame:
+            px = batch["x"].to_numpy()
+            py = batch["y"].to_numpy()
+            idx = np.full(len(batch), -1, dtype=np.int64)
+            for eid, ring in zip(enc["enclosure_index"], enc["coords"]):
+                todo = idx == -1
+                if not todo.any():
+                    break
+                m = points_in_polygon(px[todo], py[todo], np.asarray(ring))
+                w = np.nonzero(todo)[0][m]
+                idx[w] = eid
+            out = batch.copy()
+            out["enclosure_index"] = idx
+            return out
 
-            def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-                px = batch["x"].to_numpy()
-                py = batch["y"].to_numpy()
-                idx = np.full(len(batch), -1, dtype=np.int64)
-                for eid, ring in zip(self.enc["enclosure_index"],
-                                     self.enc["coords"]):
-                    todo = idx == -1
-                    if not todo.any():
-                        break
-                    m = points_in_polygon(px[todo], py[todo], np.asarray(ring))
-                    w = np.nonzero(todo)[0][m]
-                    idx[w] = eid
-                out = batch.copy()
-                out["enclosure_index"] = idx
-                return out
-
-        return buildings.map_batches(Assign, batch_format="pandas",
-                                     concurrency=(1, 8))
+        return broadcast_map(buildings, ref, assign)
 
     import pyarrow as pa
     from city2graph_ray.joins import bucketed_join
@@ -491,9 +485,7 @@ def assign_buildings_to_enclosures(buildings: ray.data.Dataset,
     # clamp: cs below max_side/64 would let the widest enclosure cover
     # an unbounded (span/cs)² cell set; med_side alone is vulnerable to
     # one city-spanning outlier polygon (ADVICE r4)
-    floor_cs = max_side / max_cells_per_side
-    cs = float(cell_size) if cell_size is not None else max(med_side, 1e-6)
-    cs = max(cs, floor_cs)
+    cs = max(med_side, 1e-6, max_side / max_cells_per_side)
     chunk = 50_000
     enc_cells = ray.data.from_arrow_refs(
         [_enc_cell_chunk.remote(ref, lo, min(lo + chunk, n_enc), cs)
@@ -1007,20 +999,12 @@ def filter_segments_by_cost(edges: ray.data.Dataset,
                             distance: float) -> ray.data.Dataset:
     """Keep segments whose cheaper endpoint cost ≤ distance
     (reference morphology.py:3306-3359)."""
-    ref = ray.put(costs)
+    def filt(batch: pd.DataFrame, costs: dict) -> pd.DataFrame:
+        cs = batch["src"].map(costs).to_numpy(dtype=np.float64, na_value=np.inf)
+        cd = batch["dst"].map(costs).to_numpy(dtype=np.float64, na_value=np.inf)
+        return batch[np.minimum(cs, cd) <= distance]
 
-    class Filt:
-        def __init__(self):
-            self.costs = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            cs = batch["src"].map(self.costs).to_numpy(dtype=np.float64,
-                                                       na_value=np.inf)
-            cd = batch["dst"].map(self.costs).to_numpy(dtype=np.float64,
-                                                       na_value=np.inf)
-            return batch[np.minimum(cs, cd) <= distance]
-
-    return edges.map_batches(Filt, batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(edges, costs, filt)
 
 
 def filter_points_by_network_reach(points: ray.data.Dataset,

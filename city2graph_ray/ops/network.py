@@ -6,10 +6,11 @@ Reference: DistanceMetric network paths
 rows, :861-884 argsort top-k, :1413 radius cutoff).
 
 Engine shape: the network (node/edge lists) is the SMALL side —
-broadcast once via ``ray.put``; each actor builds the adjacency once in
-``__init__`` and runs per-batch Dijkstra.  Points snap to their nearest
-network node by euclidean distance (reference snap, utils/spatial.py:
-404-427); co-snapped points are network-distance 0 apart.
+broadcast once via :func:`~city2graph_ray.joins.broadcast_map`; each
+worker builds the adjacency once and runs per-batch Dijkstra.  Points
+snap to their nearest network node by euclidean distance (reference
+snap, utils/spatial.py:404-427); co-snapped points are network-distance
+0 apart.
 """
 
 from __future__ import annotations
@@ -20,72 +21,80 @@ import ray
 import ray.data
 
 from city2graph_ray import shuffle
+from city2graph_ray.joins import broadcast_map
+
+
+def nx_graph(edges: pd.DataFrame):
+    """Undirected weighted networkx graph of an (src, dst, weight) frame."""
+    import networkx as nx
+    g = nx.Graph()
+    for s, d, w in edges.itertuples(index=False):
+        g.add_edge(s, d, weight=float(w))
+    return g
+
+
+def _csr(s: np.ndarray, d: np.ndarray, w: np.ndarray,
+         extra_ids: np.ndarray = np.empty(0, np.int64)) -> tuple:
+    """Undirected CSR over a dense renumbering of node ids:
+    (ids, indptr, adj_dst, adj_w)."""
+    ids = np.unique(np.concatenate([s, d, extra_ids]))
+    si = np.searchsorted(ids, np.concatenate([s, d]))
+    di = np.searchsorted(ids, np.concatenate([d, s]))
+    ww = np.concatenate([w, w])
+    order = np.argsort(si, kind="stable")
+    indptr = np.searchsorted(si[order], np.arange(len(ids) + 1))
+    return ids, indptr, di[order], ww[order]
 
 
 def snap_to_nodes(points: ray.data.Dataset, nodes: pd.DataFrame,
                   ) -> ray.data.Dataset:
     """Add ``node_id`` = nearest network node (euclidean; broadcast
     node table, chunked argmin per batch)."""
-    ref = ray.put((nodes["node_id"].to_numpy(), nodes["x"].to_numpy(),
-                   nodes["y"].to_numpy()))
+    def snap(batch: pd.DataFrame, net: tuple) -> pd.DataFrame:
+        nid, nx, ny = net
+        px = batch["x"].to_numpy()
+        py = batch["y"].to_numpy()
+        out = batch.copy()
+        best = np.empty(len(batch), np.int64)
+        for lo in range(0, len(batch), 2048):
+            hi = min(lo + 2048, len(batch))
+            d = ((px[lo:hi, None] - nx[None, :]) ** 2
+                 + (py[lo:hi, None] - ny[None, :]) ** 2)
+            best[lo:hi] = nid[np.argmin(d, axis=1)]
+        out["node_id"] = best
+        return out
 
-    class Snap:
-        def __init__(self):
-            self.nid, self.nx, self.ny = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            px = batch["x"].to_numpy()
-            py = batch["y"].to_numpy()
-            out = batch.copy()
-            best = np.empty(len(batch), np.int64)
-            for lo in range(0, len(batch), 2048):
-                hi = min(lo + 2048, len(batch))
-                d = ((px[lo:hi, None] - self.nx[None, :]) ** 2
-                     + (py[lo:hi, None] - self.ny[None, :]) ** 2)
-                best[lo:hi] = self.nid[np.argmin(d, axis=1)]
-            out["node_id"] = best
-            return out
-
-    return points.map_batches(Snap, batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(points, (nodes["node_id"].to_numpy(),
+                                  nodes["x"].to_numpy(),
+                                  nodes["y"].to_numpy()), snap)
 
 
 def _node_distances(src_nodes: ray.data.Dataset, edges: pd.DataFrame,
                     weight_col: str, cutoff: float | None,
                     ) -> ray.data.Dataset:
     """Per distinct source NODE: (src_node, dst_node, distance) rows via
-    per-batch Dijkstra (actor pool; adjacency built once per actor).
-    The network edge list is the broadcast small side — point tables
-    never are."""
-    eref = ray.put(edges[["src", "dst", weight_col]])
+    per-batch Dijkstra (adjacency built once per worker).  The network
+    edge list is the broadcast small side — point tables never are."""
+    def dijkstra(batch: pd.DataFrame, g) -> pd.DataFrame:
+        import networkx as nx
+        outs = []
+        for node in batch["node_id"]:
+            if node not in g:
+                continue
+            lengths = nx.single_source_dijkstra_path_length(
+                g, int(node), cutoff=cutoff, weight="weight")
+            tgt = np.fromiter(lengths.keys(), np.int64, len(lengths))
+            cost = np.fromiter(lengths.values(), np.float64, len(lengths))
+            outs.append(pd.DataFrame({
+                "src_node": np.int64(node), "dst_node": tgt,
+                "distance": cost}))
+        return (pd.concat(outs) if outs else
+                pd.DataFrame({"src_node": pd.Series(dtype=np.int64),
+                              "dst_node": pd.Series(dtype=np.int64),
+                              "distance": pd.Series(dtype=np.float64)}))
 
-    class Dijkstra:
-        def __init__(self):
-            import networkx as nx
-            e = ray.get(eref)
-            self.g = nx.Graph()
-            for s, d, w in e.itertuples(index=False):
-                self.g.add_edge(int(s), int(d), weight=float(w))
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            import networkx as nx
-            outs = []
-            for node in batch["node_id"]:
-                if node not in self.g:
-                    continue
-                lengths = nx.single_source_dijkstra_path_length(
-                    self.g, int(node), cutoff=cutoff, weight="weight")
-                tgt = np.fromiter(lengths.keys(), np.int64, len(lengths))
-                cost = np.fromiter(lengths.values(), np.float64, len(lengths))
-                outs.append(pd.DataFrame({
-                    "src_node": np.int64(node), "dst_node": tgt,
-                    "distance": cost}))
-            return (pd.concat(outs) if outs else
-                    pd.DataFrame({"src_node": pd.Series(dtype=np.int64),
-                                  "dst_node": pd.Series(dtype=np.int64),
-                                  "distance": pd.Series(dtype=np.float64)}))
-
-    return src_nodes.map_batches(Dijkstra, batch_format="pandas",
-                                 batch_size=256, concurrency=(1, 8))
+    return broadcast_map(src_nodes, edges[["src", "dst", weight_col]],
+                         dijkstra, prepare=nx_graph, batch_size=256)
 
 
 def _expand_node_pairs(cand_nodes: ray.data.Dataset,
@@ -136,7 +145,7 @@ def network_knn_graph(points: ray.data.Dataset, nodes: pd.DataFrame,
     — no escalation rounds, no reach aggregation, no spill.
 
     The graph CSR and the node→point-count map are the broadcast small
-    side (``ray.put`` once, built per actor in ``__init__``); Dijkstra
+    side (put once, built once per worker); Dijkstra
     distances remain the same left-associated prefix sums, so results
     are bit-identical to the unbounded form (SQL-twinned at the
     gate)."""
@@ -146,73 +155,59 @@ def network_knn_graph(points: ray.data.Dataset, nodes: pd.DataFrame,
     src_nodes = ray.data.from_pandas(
         pts_per_node[["node_id"]].copy())
 
-    # CSR over the (renumbered) undirected edge list
-    net_ref = ray.put((edges["src"].to_numpy(np.int64),
-                       edges["dst"].to_numpy(np.int64),
-                       edges[weight_col].to_numpy(np.float64)))
-    cnt_ref = ray.put((pts_per_node["node_id"].to_numpy(np.int64),
-                       pts_per_node["n_pts"].to_numpy(np.int64)))
+    def csr_with_counts(state: tuple) -> tuple:
+        s, d, w, cn, cc = state
+        ids, indptr, adj_dst, adj_w = _csr(s, d, w, cn)
+        npts = np.zeros(len(ids), np.int64)
+        npts[np.searchsorted(ids, cn)] = cc
+        return ids, indptr, adj_dst, adj_w, npts
 
-    class CountBoundedDijkstra:
-        def __init__(self):
-            s, d, w = ray.get(net_ref)
-            cn, cc = ray.get(cnt_ref)
-            # dense renumbering of node ids → CSR
-            self.ids = np.unique(np.concatenate([s, d, cn]))
-            n = len(self.ids)
-            si = np.searchsorted(self.ids, np.concatenate([s, d]))
-            di = np.searchsorted(self.ids, np.concatenate([d, s]))
-            ww = np.concatenate([w, w])
-            order = np.argsort(si, kind="stable")
-            self.adj_dst = di[order]
-            self.adj_w = ww[order]
-            self.indptr = np.searchsorted(si[order],
-                                          np.arange(n + 1))
-            self.npts = np.zeros(n, np.int64)
-            self.npts[np.searchsorted(self.ids, cn)] = cc
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            import heapq
-            need = k + 1
-            out_s, out_d, out_w = [], [], []
-            for node in batch["node_id"]:
-                s0 = int(np.searchsorted(self.ids, node))
-                if s0 >= len(self.ids) or self.ids[s0] != node:
+    def count_bounded_dijkstra(batch: pd.DataFrame, net: tuple) -> pd.DataFrame:
+        import heapq
+        ids, indptr, adj_dst, adj_w, npts = net
+        need = k + 1
+        out_s, out_d, out_w = [], [], []
+        for node in batch["node_id"]:
+            s0 = int(np.searchsorted(ids, node))
+            if s0 >= len(ids) or ids[s0] != node:
+                continue
+            dist = {s0: 0.0}
+            settled = set()
+            heap = [(0.0, s0)]
+            seen_pts = 0
+            stop_d = np.inf
+            while heap:
+                d0, u = heapq.heappop(heap)
+                if u in settled:
                     continue
-                dist = {s0: 0.0}
-                settled = set()
-                heap = [(0.0, s0)]
-                seen_pts = 0
-                stop_d = np.inf
-                while heap:
-                    d0, u = heapq.heappop(heap)
-                    if u in settled:
-                        continue
-                    if d0 > stop_d:
-                        break
-                    settled.add(u)
-                    if self.npts[u]:
-                        out_s.append(node)
-                        out_d.append(self.ids[u])
-                        out_w.append(d0)
-                        seen_pts += self.npts[u]
-                        if seen_pts >= need and stop_d == np.inf:
-                            stop_d = d0
-                    for ei in range(self.indptr[u], self.indptr[u + 1]):
-                        v = self.adj_dst[ei]
-                        nd = d0 + self.adj_w[ei]
-                        if nd <= stop_d and (v not in dist
-                                             or nd < dist[v]):
-                            dist[v] = nd
-                            heapq.heappush(heap, (nd, v))
-            return pd.DataFrame({
-                "src_node": np.array(out_s, np.int64),
-                "dst_node": np.array(out_d, np.int64),
-                "distance": np.array(out_w, np.float64)})
+                if d0 > stop_d:
+                    break
+                settled.add(u)
+                if npts[u]:
+                    out_s.append(node)
+                    out_d.append(ids[u])
+                    out_w.append(d0)
+                    seen_pts += npts[u]
+                    if seen_pts >= need and stop_d == np.inf:
+                        stop_d = d0
+                for ei in range(indptr[u], indptr[u + 1]):
+                    v = adj_dst[ei]
+                    nd = d0 + adj_w[ei]
+                    if nd <= stop_d and (v not in dist or nd < dist[v]):
+                        dist[v] = nd
+                        heapq.heappush(heap, (nd, v))
+        return pd.DataFrame({
+            "src_node": np.array(out_s, np.int64),
+            "dst_node": np.array(out_d, np.int64),
+            "distance": np.array(out_w, np.float64)})
 
-    cand_nodes = src_nodes.map_batches(
-        CountBoundedDijkstra, batch_format="pandas", batch_size=256,
-        concurrency=(1, 8))
+    cand_nodes = broadcast_map(
+        src_nodes, (edges["src"].to_numpy(np.int64),
+                    edges["dst"].to_numpy(np.int64),
+                    edges[weight_col].to_numpy(np.float64),
+                    pts_per_node["node_id"].to_numpy(np.int64),
+                    pts_per_node["n_pts"].to_numpy(np.int64)),
+        count_bounded_dijkstra, prepare=csr_with_counts, batch_size=256)
     out = _expand_node_pairs(cand_nodes, snapped)
     return shuffle.topk_in_group(out, ["src"], k,
                                  ["distance", "dst"], [True, True])
@@ -235,7 +230,7 @@ def attach_network_path_geometry(edges: ray.data.Dataset,
     Engine shape: the pair table is grouped by snapped source node so
     one Dijkstra serves every edge sharing a source (reference
     edges_by_src_nn grouping); the network is the broadcast small side
-    (``ray.put`` once, adjacency built per actor in ``__init__``);
+    (put once, adjacency built once per worker);
     path rows rejoin the edge stream through a bucketed hash join —
     no candidate row lands on the driver."""
     from city2graph_ray.joins import bucketed_join
@@ -263,16 +258,18 @@ def attach_network_path_geometry(edges: ray.data.Dataset,
                        batch_format="pandas"),
         ["src_node", "dst_node"],
         # distinct's bucket kernel keeps each src_node's pairs in ONE
-        # output block, so the actor stage runs one Dijkstra per source
+        # output block, so the trace stage runs one Dijkstra per source
         # per block, not per batch fragment
     )
 
-    nref = ray.put((nodes["node_id"].to_numpy(np.int64),
-                    nodes["x"].to_numpy(np.float64),
-                    nodes["y"].to_numpy(np.float64)))
-    eref = ray.put(net_edges[["src", "dst", weight_col]])
+    def network(state: tuple) -> tuple:
+        nid, nx_, ny_, e = state
+        pos = {int(n): (float(a), float(b)) for n, a, b in zip(nid, nx_, ny_)}
+        return pos, _csr(e["src"].to_numpy(np.int64),
+                         e["dst"].to_numpy(np.int64),
+                         e[weight_col].to_numpy(np.float64))
 
-    class PathTrace:
+    def trace(src: int, targets: np.ndarray, csr: tuple):
         """Early-terminating CSR Dijkstra per source group (r4): the
         former per-source ``nx.single_source_dijkstra`` explored the
         WHOLE graph even when the group needed 3 targets; now the heap
@@ -281,94 +278,78 @@ def attach_network_path_geometry(edges: ray.data.Dataset,
         shortest paths the witness may differ from networkx's
         (heap tie order), which the op's contract allows — distance
         exactness is what the tests pin."""
+        import heapq
+        ids, indptr, adj, wts = csr
+        s0 = int(np.searchsorted(ids, src))
+        if s0 >= len(ids) or ids[s0] != src:
+            return {}, {}
+        tset = set()
+        for t in targets:
+            ti = int(np.searchsorted(ids, t))
+            if ti < len(ids) and ids[ti] == t:
+                tset.add(ti)
+        dist = {s0: 0.0}
+        pred = {s0: -1}
+        settled: set = set()
+        heap = [(0.0, s0)]
+        while heap and tset:
+            d0, u = heapq.heappop(heap)
+            if u in settled:
+                continue
+            if cutoff is not None and d0 > cutoff:
+                break
+            settled.add(u)
+            tset.discard(u)
+            for ei in range(indptr[u], indptr[u + 1]):
+                v = int(adj[ei])
+                nd = d0 + wts[ei]
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    pred[v] = u
+                    heapq.heappush(heap, (nd, v))
+        dists, paths = {}, {}
+        for t in targets:
+            ti = int(np.searchsorted(ids, t))
+            if ti >= len(ids) or ids[ti] != t or ti not in settled:
+                continue
+            dists[int(t)] = dist[ti]
+            p = []
+            cur = ti
+            while cur != -1:
+                p.append(int(ids[cur]))
+                cur = pred[cur]
+            paths[int(t)] = p[::-1]
+        return dists, paths
 
-        def __init__(self):
-            nid, nx_, ny_ = ray.get(nref)
-            self.pos = {int(n): (float(a), float(b))
-                        for n, a, b in zip(nid, nx_, ny_)}
-            e = ray.get(eref)
-            s = e["src"].to_numpy(np.int64)
-            d = e["dst"].to_numpy(np.int64)
-            w = e[weight_col].to_numpy(np.float64)
-            self.ids = np.unique(np.concatenate([s, d]))
-            n = len(self.ids)
-            si = np.searchsorted(self.ids, np.concatenate([s, d]))
-            di = np.searchsorted(self.ids, np.concatenate([d, s]))
-            ww = np.concatenate([w, w])
-            order = np.argsort(si, kind="stable")
-            self.adj = di[order]
-            self.wts = ww[order]
-            self.indptr = np.searchsorted(si[order], np.arange(n + 1))
+    def path_trace(batch: pd.DataFrame, net: tuple) -> pd.DataFrame:
+        pos, csr = net
+        out_s, out_d, out_w, out_g = [], [], [], []
+        for src, grp in batch.groupby("src_node", sort=False):
+            src = int(src)
+            tgts = grp["dst_node"].to_numpy(np.int64)
+            dists, paths = trace(src, tgts, csr)
+            for dst in tgts:
+                dst = int(dst)
+                out_s.append(src)
+                out_d.append(dst)
+                out_w.append(dists.get(dst, float("inf")))
+                p = paths.get(dst)
+                if p and len(p) >= 2:
+                    out_g.append("LINESTRING (" + ", ".join(
+                        f"{pos[q][0]} {pos[q][1]}" for q in p) + ")")
+                else:
+                    out_g.append(None)   # straight fallback downstream
+        return pd.DataFrame({"src_node": np.array(out_s, np.int64),
+                             "dst_node": np.array(out_d, np.int64),
+                             "network_distance": np.array(out_w),
+                             "path_wkt": pd.array(out_g, dtype=object)})
 
-        def _trace(self, src: int, targets: np.ndarray):
-            import heapq
-            s0 = int(np.searchsorted(self.ids, src))
-            if s0 >= len(self.ids) or self.ids[s0] != src:
-                return {}, {}
-            tset = set()
-            for t in targets:
-                ti = int(np.searchsorted(self.ids, t))
-                if ti < len(self.ids) and self.ids[ti] == t:
-                    tset.add(ti)
-            dist = {s0: 0.0}
-            pred = {s0: -1}
-            settled: set = set()
-            heap = [(0.0, s0)]
-            while heap and tset:
-                d0, u = heapq.heappop(heap)
-                if u in settled:
-                    continue
-                if cutoff is not None and d0 > cutoff:
-                    break
-                settled.add(u)
-                tset.discard(u)
-                for ei in range(self.indptr[u], self.indptr[u + 1]):
-                    v = int(self.adj[ei])
-                    nd = d0 + self.wts[ei]
-                    if v not in dist or nd < dist[v]:
-                        dist[v] = nd
-                        pred[v] = u
-                        heapq.heappush(heap, (nd, v))
-            dists, paths = {}, {}
-            for t in targets:
-                ti = int(np.searchsorted(self.ids, t))
-                if (ti >= len(self.ids) or self.ids[ti] != t
-                        or ti not in settled):
-                    continue
-                dists[int(t)] = dist[ti]
-                p = []
-                cur = ti
-                while cur != -1:
-                    p.append(int(self.ids[cur]))
-                    cur = pred[cur]
-                paths[int(t)] = p[::-1]
-            return dists, paths
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            out_s, out_d, out_w, out_g = [], [], [], []
-            for src, grp in batch.groupby("src_node", sort=False):
-                src = int(src)
-                tgts = grp["dst_node"].to_numpy(np.int64)
-                dists, paths = self._trace(src, tgts)
-                for dst in tgts:
-                    dst = int(dst)
-                    out_s.append(src)
-                    out_d.append(dst)
-                    out_w.append(dists.get(dst, float("inf")))
-                    p = paths.get(dst)
-                    if p and len(p) >= 2:
-                        out_g.append("LINESTRING (" + ", ".join(
-                            f"{self.pos[q][0]} {self.pos[q][1]}"
-                            for q in p) + ")")
-                    else:
-                        out_g.append(None)   # straight fallback downstream
-            return pd.DataFrame({"src_node": np.array(out_s, np.int64),
-                                 "dst_node": np.array(out_d, np.int64),
-                                 "network_distance": np.array(out_w),
-                                 "path_wkt": pd.array(out_g, dtype=object)})
-
-    traced = pairs.map_batches(PathTrace, batch_format="pandas",
-                               batch_size=4096, concurrency=(1, 8))
+    traced = broadcast_map(
+        pairs, (nodes["node_id"].to_numpy(np.int64),
+                nodes["x"].to_numpy(np.float64),
+                nodes["y"].to_numpy(np.float64),
+                net_edges[["src", "dst", weight_col]]),
+        path_trace, prepare=network, batch_size=4096)
 
     joined = bucketed_join(e2, traced, on=["src_node", "dst_node"])
 
@@ -392,7 +373,7 @@ def bounded_hop_paths(edges: ray.data.Dataset,
                       num_buckets: int = 64) -> ray.data.Dataset:
     """Distributed bounded-hop single-source shortest paths (iterative
     Bellman-Ford relaxation) — the fully-shuffled alternative to the
-    broadcast-Dijkstra actor when the network itself is too large to
+    broadcast-Dijkstra stage when the network itself is too large to
     ship to every worker (reference computes the same distances via
     NetworkX Dijkstra, proximity.py:313-362; the hop bound makes the
     semantics exactly SQL-expressible for the driver oracle).

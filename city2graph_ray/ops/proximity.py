@@ -29,6 +29,7 @@ import ray.data
 
 from city2graph_ray import cells, shuffle
 from city2graph_ray.geom.delaunay import delaunay_edges
+from city2graph_ray.joins import broadcast_map
 
 _EDGE_SCHEMA = {"src": np.int64, "dst": np.int64, "distance": np.float64}
 
@@ -339,15 +340,15 @@ def knn_graph(
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
                     ring.update(cells.pack(qix + dx, qiy + dy).tolist())
-            ring_ref = ray.put(np.fromiter(ring, np.int64, len(ring)))
 
-            def near_q(batch: pd.DataFrame, cs=cs) -> pd.DataFrame:
-                keep_cells = ray.get(ring_ref)
+            def near_q(batch: pd.DataFrame, keep_cells: np.ndarray,
+                       cs=cs) -> pd.DataFrame:
                 c = cells.cell_id(batch["x"].to_numpy(),
                                   batch["y"].to_numpy(), cs)
                 return batch[np.isin(c, keep_cells)]
 
-            ts = ts.map_batches(near_q, batch_format="pandas")
+            ts = broadcast_map(ts, np.fromiter(ring, np.int64, len(ring)),
+                               near_q)
 
         both = None
         if not (implicit_queries and strategy == "exchange"):
@@ -494,13 +495,11 @@ def _knn_broadcast(queries: ray.data.Dataset, cand: ray.data.Dataset, k: int,
     qdf = queries.select_columns(["id", "x", "y"]).to_pandas()
     if qdf.empty:
         return ray.data.from_pandas(_empty_edges())
-    qref = ray.put((qdf["id"].to_numpy(), qdf["x"].to_numpy(),
-                    qdf["y"].to_numpy()))
 
     dist = _METRICS[metric]
 
-    def block_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        qid, qx, qy = ray.get(qref)
+    def block_topk(batch: pd.DataFrame, q: tuple) -> pd.DataFrame:
+        qid, qx, qy = q
         cid = batch["id"].to_numpy()
         cx = batch["x"].to_numpy()
         cy = batch["y"].to_numpy()
@@ -525,7 +524,8 @@ def _knn_broadcast(queries: ray.data.Dataset, cand: ray.data.Dataset, k: int,
                                       "distance": dsel[keep]}))
         return pd.concat(outs) if outs else _empty_edges()
 
-    partials = cand.map_batches(block_topk, batch_format="pandas")
+    partials = broadcast_map(cand, (qdf["id"].to_numpy(), qdf["x"].to_numpy(),
+                                    qdf["y"].to_numpy()), block_topk)
     return shuffle.topk_in_group(partials, ["src"], k,
                                  ["distance", "dst"], [True, True])
 

@@ -26,6 +26,7 @@ import ray.data
 
 from city2graph_ray import shuffle
 from city2graph_ray.geom.kernels import linestring_length, substring
+from city2graph_ray.joins import broadcast_map
 
 
 def parse_json_permissive(s) -> list:
@@ -178,27 +179,22 @@ def cluster_segment_endpoints(segments: ray.data.Dataset, threshold: float,
     cent["cx"] = cent["sx"] / (cent["n"] * _Q)
     cent["cy"] = cent["sy"] / (cent["n"] * _Q)
     cmap = {(int(r.bx), int(r.by)): (r.cx, r.cy) for r in cent.itertuples()}
-    ref = ray.put(cmap)
 
-    class Snap:
-        def __init__(self):
-            self.cmap = ray.get(ref)
+    def snap(batch: pd.DataFrame, cmap: dict) -> pd.DataFrame:
+        out_coords = []
+        for c in batch["coords"]:
+            c = np.asarray(c, np.float64).copy()
+            for i0, i1 in ((0, 1), (len(c) - 2, len(c) - 1)):
+                key = (int(np.floor(c[i0] / threshold + 0.5)),
+                       int(np.floor(c[i1] / threshold + 0.5)))
+                if key in cmap:
+                    c[i0], c[i1] = cmap[key]
+            out_coords.append(c)
+        out = batch.copy()
+        out["coords"] = out_coords
+        return out
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            out_coords = []
-            for c in batch["coords"]:
-                c = np.asarray(c, np.float64).copy()
-                for i0, i1 in ((0, 1), (len(c) - 2, len(c) - 1)):
-                    key = (int(np.floor(c[i0] / threshold + 0.5)),
-                           int(np.floor(c[i1] / threshold + 0.5)))
-                    if key in self.cmap:
-                        c[i0], c[i1] = self.cmap[key]
-                out_coords.append(c)
-            out = batch.copy()
-            out["coords"] = out_coords
-            return out
-
-    return segments.map_batches(Snap, batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(segments, cmap, snap)
 
 
 def deterministic_jitter(segments: ray.data.Dataset, magnitude: float = 1e-3,

@@ -29,6 +29,7 @@ import ray
 import ray.data
 
 from city2graph_ray import shuffle
+from city2graph_ray.joins import broadcast_map
 
 
 def _coord_bucket(x: np.ndarray, width: float = 64.0) -> np.ndarray:
@@ -66,19 +67,14 @@ def dedup_coords_with_ids(
     ccol = "count()" if "count()" in counts.columns else counts.columns[-1]
     offsets = dict(zip(counts["bucket"],
                        np.concatenate(([0], np.cumsum(counts[ccol].to_numpy())[:-1]))))
-    ref = ray.put(offsets)
 
-    class AssignIds:
-        def __init__(self):
-            self.offsets = ray.get(ref)
+    def assign_ids(batch: pd.DataFrame, offsets: dict) -> pd.DataFrame:
+        off = batch["bucket"].map(offsets).to_numpy(dtype=np.int64)
+        out = batch[["x", "y"]].copy()
+        out["node_id"] = off + batch["rank"].to_numpy(dtype=np.int64)
+        return out
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            off = batch["bucket"].map(self.offsets).to_numpy(dtype=np.int64)
-            out = batch[["x", "y"]].copy()
-            out["node_id"] = off + batch["rank"].to_numpy(dtype=np.int64)
-            return out
-
-    return uniq.map_batches(AssignIds, batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(uniq, offsets, assign_ids)
 
 
 def segments_to_graph(
@@ -108,33 +104,29 @@ def segments_to_graph(
 
     # broadcast the (coord → id) map: node table ≪ segments; at larger
     # scale this becomes a bucketed join on the same x-bucket key.
-    node_df = nodes.to_pandas()
-    ref = ray.put(node_df)
+    def coord_lookup(nd: pd.DataFrame) -> dict:
+        return {(xx, yy): ii for xx, yy, ii in
+                zip(nd["x"], nd["y"], nd["node_id"])}
 
-    class Resolve:
-        def __init__(self):
-            nd = ray.get(ref)
-            self.lookup = {(xx, yy): ii for xx, yy, ii in
-                           zip(nd["x"], nd["y"], nd["node_id"])}
+    def resolve(batch: pd.DataFrame, lookup: dict) -> pd.DataFrame:
+        coords = [np.asarray(c, np.float64) for c in batch["coords"]]
+        src = np.fromiter((lookup[(c[0], c[1])] for c in coords),
+                          np.int64, len(coords))
+        dst = np.fromiter((lookup[(c[-2], c[-1])] for c in coords),
+                          np.int64, len(coords))
+        out = batch.copy()
+        if not directed:
+            lo = np.minimum(src, dst)
+            hi = np.maximum(src, dst)
+            src, dst = lo, hi
+        out["src"] = src
+        out["dst"] = dst
+        if "row_seq" not in out.columns:
+            out["row_seq"] = out["seg_id"].to_numpy(dtype=np.int64)
+        return out
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            coords = [np.asarray(c, np.float64) for c in batch["coords"]]
-            src = np.fromiter((self.lookup[(c[0], c[1])] for c in coords),
-                              np.int64, len(coords))
-            dst = np.fromiter((self.lookup[(c[-2], c[-1])] for c in coords),
-                              np.int64, len(coords))
-            out = batch.copy()
-            if not directed:
-                lo = np.minimum(src, dst)
-                hi = np.maximum(src, dst)
-                src, dst = lo, hi
-            out["src"] = src
-            out["dst"] = dst
-            if "row_seq" not in out.columns:
-                out["row_seq"] = out["seg_id"].to_numpy(dtype=np.int64)
-            return out
-
-    resolved = segments.map_batches(Resolve, batch_format="pandas", concurrency=(1, 8))
+    resolved = broadcast_map(segments, nodes.to_pandas(), resolve,
+                             prepare=coord_lookup)
 
     if multigraph:
         edges = shuffle.rank_in_group(resolved, ["src", "dst"], "row_seq",
@@ -522,15 +514,10 @@ def clip_edges(edges: ray.data.Dataset, ring: np.ndarray, strict: bool = True) -
     (reference clip_graph utils/topology.py:698-772: strict = both
     endpoints inside).  Input needs sx, sy, dx_, dy_ endpoint coords."""
     from city2graph_ray.geom.kernels import points_in_polygon
-    ref = ray.put(np.asarray(ring, np.float64))
 
-    class Clip:
-        def __init__(self):
-            self.ring = ray.get(ref)
+    def clip(batch: pd.DataFrame, ring: np.ndarray) -> pd.DataFrame:
+        a = points_in_polygon(batch["sx"].to_numpy(), batch["sy"].to_numpy(), ring)
+        b = points_in_polygon(batch["dx_"].to_numpy(), batch["dy_"].to_numpy(), ring)
+        return batch[(a & b) if strict else (a | b)]
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            a = points_in_polygon(batch["sx"].to_numpy(), batch["sy"].to_numpy(), self.ring)
-            b = points_in_polygon(batch["dx_"].to_numpy(), batch["dy_"].to_numpy(), self.ring)
-            return batch[(a & b) if strict else (a | b)]
-
-    return edges.map_batches(Clip, batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(edges, np.asarray(ring, np.float64), clip)

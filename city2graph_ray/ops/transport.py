@@ -585,7 +585,7 @@ def earliest_arrival(stop_times: ray.data.Dataset, source_stop: str,
     Per round the CONNECTION TABLE streams (map_batches partial-min
     per to_stop + one keyed min) against the stop-sized
     earliest-arrival map captured by closure — stops ≪ connections,
-    the same broadcast premise as the network Dijkstra actor
+    the same broadcast premise as the network Dijkstra stage
     (ops/network.py) and the reference's dimension tables.  The label
     update and convergence check are driver-side over ≤ |stops| rows.
     Returns the (stop_id, ea_sec) table, int64 seconds; deterministic

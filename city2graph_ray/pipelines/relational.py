@@ -1475,8 +1475,7 @@ def min_cost_supplier(sf_dir: str, region: str = "ASIA",
         batch_format="pandas")
 
     # cost fans out (per-part min AND the winner join): pin it once —
-    # without this the semi-filter actor-pool lineage is duplicated per
-    # consumer and the pools can starve a small CPU budget
+    # without this the semi-filter lineage is duplicated per consumer
     cost = shuffle.group_agg(
         li, ["l_partkey", "l_suppkey"], {"cost_cents": ("cents", "min")},
         num_buckets=num_buckets).materialize()

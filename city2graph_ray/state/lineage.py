@@ -13,8 +13,9 @@ Layout for a stage checkpoint:
 ``checkpointed_write`` partitions the dataset by an explicit key column
 (cell id, enclosure id, bucket — the SAME key the stage shuffles on),
 writes each partition once, and SKIPS partitions whose manifest entry
-already exists with a matching fingerprint — a re-run after failure
-redoes only unfinished partitions.  ``load_checkpoint`` reads whatever
+already exists with a matching fingerprint and whose part file is
+present at the recorded size — a re-run after failure redoes only
+unfinished or lost partitions.  ``load_checkpoint`` reads whatever
 is complete.  The reference has no checkpointing (SURVEY.md §4); this
 is engine-native design.
 """
@@ -35,9 +36,16 @@ def _manifest_dir(root: str, stage_id: str) -> str:
     return os.path.join(root, stage_id, "_manifest")
 
 
+def _read_json(path: str) -> dict:
+    with open(path) as f:
+        return json.load(f)
+
+
 def completed_partitions(root: str, stage_id: str,
                          fingerprint: str | None = None) -> set[str]:
-    """Partition keys already written (optionally fingerprint-matched)."""
+    """Partition keys already written (optionally fingerprint-matched):
+    the manifest entry parses and its part file exists with the
+    manifest's byte size."""
     mdir = _manifest_dir(root, stage_id)
     if not os.path.isdir(mdir):
         return set()
@@ -45,13 +53,18 @@ def completed_partitions(root: str, stage_id: str,
     for f in os.listdir(mdir):
         if not f.endswith(".json"):
             continue
+        key = f[:-5]
+        part = os.path.join(root, stage_id, f"part-{key}.parquet")
         try:
-            meta = json.load(open(os.path.join(mdir, f)))
+            meta = _read_json(os.path.join(mdir, f))
+            intact = os.path.getsize(part) == meta.get("bytes")
         except (json.JSONDecodeError, OSError):
-            continue  # torn write → redo this partition
+            continue  # torn write or lost part file → redo this partition
+        if not intact:
+            continue
         if fingerprint is not None and meta.get("fingerprint") != fingerprint:
             continue
-        done.add(f[:-5])
+        done.add(key)
     return done
 
 
@@ -125,5 +138,5 @@ def stage_metrics(root: str, stage_id: str) -> list[dict]:
     out = []
     for f in sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []:
         if f.endswith(".json"):
-            out.append(json.load(open(os.path.join(mdir, f))))
+            out.append(_read_json(os.path.join(mdir, f)))
     return out

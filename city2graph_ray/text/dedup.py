@@ -25,6 +25,7 @@ import ray
 import ray.data
 
 from city2graph_ray import shuffle
+from city2graph_ray.joins import broadcast_map
 
 _MERSENNE = (1 << 61) - 1
 
@@ -185,7 +186,7 @@ def _mulmod_mersenne61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class MinHasher:
-    """Stateful per-actor minhash: permutation params generated once.
+    """Stateful minhash: permutation params generated once per worker.
 
     The hash family is a true universal (a*x + b) mod (2^61-1) — the
     multiply is folded via :func:`_mulmod_mersenne61`, not wrapped mod
@@ -230,56 +231,54 @@ def minhash_lsh_candidates(docs: ray.data.Dataset, num_perm: int = 64,
                            hash_fn: str = "uni") -> ray.data.Dataset:
     """(band_id, band_hash) bucket groupby → candidate pairs (a < b).
 
-    MinHasher is a callable-class actor stage (permutations built once
-    per actor, not per batch).  ``hash_fn='md5'`` (see
-    :class:`MinHasher`) also switches the band key from the uint64
-    FNV mix to the comma-joined decimal minima string — byte-for-byte
-    DuckDB's ``string_agg(m::VARCHAR, ',' ORDER BY i)``, so the SQL
-    twin reproduces the exact candidate set."""
+    The MinHasher is built once per worker (``broadcast_map``), not per
+    batch.  ``hash_fn='md5'`` (see :class:`MinHasher`) also switches
+    the band key from the uint64 FNV mix to the comma-joined decimal
+    minima string — byte-for-byte DuckDB's
+    ``string_agg(m::VARCHAR, ',' ORDER BY i)``, so the SQL twin
+    reproduces the exact candidate set."""
     rows_per_band = num_perm // bands
 
-    class Stage:
-        def __init__(self):
-            self.mh = MinHasher(num_perm, shingle_k, hash_fn=hash_fn)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            n = len(batch)
-            sigs = np.empty((n, num_perm), dtype=np.uint64)
-            for i, text in enumerate(batch[text_col]):
-                sigs[i] = self.mh.signature(text)
-            if hash_fn == "md5":
-                # SQL-reproducible band key: decimal minima joined by ','
-                ss = sigs.astype("U20")
-                cols = []
-                for b in range(bands):
-                    col = ss[:, b * rows_per_band]
-                    for j in range(1, rows_per_band):
-                        col = np.char.add(np.char.add(col, ","),
-                                          ss[:, b * rows_per_band + j])
-                    cols.append(col)
-                kh = (np.stack(cols, axis=1).reshape(-1).astype(object)
-                      if n else np.empty(0, dtype=object))
-                return pd.DataFrame({
-                    id_col: np.repeat(batch[id_col].to_numpy(), bands),
-                    "band_id": np.tile(np.arange(bands, dtype=np.int64), n),
-                    "band_hash": kh})
-            # vectorized band key: murmur-mix each signature column,
-            # FNV-combine within the band (one uint64 key per doc/band)
-            bh = np.empty((n, bands), dtype=np.uint64)
+    def stage(batch: pd.DataFrame, mh: MinHasher) -> pd.DataFrame:
+        n = len(batch)
+        sigs = np.empty((n, num_perm), dtype=np.uint64)
+        for i, text in enumerate(batch[text_col]):
+            sigs[i] = mh.signature(text)
+        if hash_fn == "md5":
+            # SQL-reproducible band key: decimal minima joined by ','
+            ss = sigs.astype("U20")
+            cols = []
             for b in range(bands):
-                h = np.zeros(n, dtype=np.uint64)
-                for j in range(rows_per_band):
-                    v = sigs[:, b * rows_per_band + j]
-                    v = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-                    v = v ^ (v >> np.uint64(29))
-                    h = h * np.uint64(1099511628211) ^ v
-                bh[:, b] = h >> np.uint64(1)  # int64-safe
+                col = ss[:, b * rows_per_band]
+                for j in range(1, rows_per_band):
+                    col = np.char.add(np.char.add(col, ","),
+                                      ss[:, b * rows_per_band + j])
+                cols.append(col)
+            kh = (np.stack(cols, axis=1).reshape(-1).astype(object)
+                  if n else np.empty(0, dtype=object))
             return pd.DataFrame({
                 id_col: np.repeat(batch[id_col].to_numpy(), bands),
                 "band_id": np.tile(np.arange(bands, dtype=np.int64), n),
-                "band_hash": bh.reshape(-1).astype(np.int64)})
+                "band_hash": kh})
+        # vectorized band key: murmur-mix each signature column,
+        # FNV-combine within the band (one uint64 key per doc/band)
+        bh = np.empty((n, bands), dtype=np.uint64)
+        for b in range(bands):
+            h = np.zeros(n, dtype=np.uint64)
+            for j in range(rows_per_band):
+                v = sigs[:, b * rows_per_band + j]
+                v = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+                v = v ^ (v >> np.uint64(29))
+                h = h * np.uint64(1099511628211) ^ v
+            bh[:, b] = h >> np.uint64(1)  # int64-safe
+        return pd.DataFrame({
+            id_col: np.repeat(batch[id_col].to_numpy(), bands),
+            "band_id": np.tile(np.arange(bands, dtype=np.int64), n),
+            "band_hash": bh.reshape(-1).astype(np.int64)})
 
-    banded = docs.map_batches(Stage, batch_format="pandas", concurrency=(1, 8))
+    banded = broadcast_map(
+        docs, (num_perm, shingle_k, hash_fn), stage,
+        prepare=lambda p: MinHasher(p[0], p[1], hash_fn=p[2]))
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on=["band_id", "band_hash"])
@@ -348,39 +347,32 @@ def _pairs_with_texts(cand: ray.data.Dataset, docs: ray.data.Dataset,
         right_schema=pa.schema([("b", types["b"]), ("__text_b", txt)]))
 
 
-class _JaccardVerify:
+def _jaccard_verify(batch: pd.DataFrame, params: tuple) -> pd.DataFrame:
     """Exact character-shingle Jaccard per pair; texts arrive in the
     batch (joined upstream), shingle sets cached per batch by doc id.
-    ``mode='char'`` shingles by character windows (the SQL-twin form —
-    identical Jaccard for ASCII text, and exactly DuckDB's substr
-    windows otherwise)."""
+    ``params`` = (shingle_k, threshold, round_to, mode); ``mode='char'``
+    shingles by character windows (the SQL-twin form — identical
+    Jaccard for ASCII text, and exactly DuckDB's substr windows
+    otherwise)."""
+    k, threshold, round_to, mode = params
+    cache: dict = {}
+    mk = char_shingles if mode == "byte" else char_window_shingles
 
-    def __init__(self, shingle_k: int, threshold: float,
-                 round_to: int | None = None, mode: str = "byte"):
-        self.k = shingle_k
-        self.threshold = threshold
-        self.round_to = round_to
-        self.mode = mode
+    def sh(i, text) -> set:
+        if i not in cache:
+            cache[i] = mk(text, k)
+        return cache[i]
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        cache: dict = {}
-        mk = char_shingles if self.mode == "byte" else char_window_shingles
-
-        def sh(i, text) -> set:
-            if i not in cache:
-                cache[i] = mk(text, self.k)
-            return cache[i]
-
-        jac = np.fromiter(
-            (jaccard(sh(a, ta), sh(b, tb))
-             for a, b, ta, tb in zip(batch["a"], batch["b"],
-                                     batch["__text_a"], batch["__text_b"])),
-            np.float64, len(batch))
-        if self.round_to is not None:
-            jac = np.round(jac, self.round_to)
-        out = pd.DataFrame({"a": batch["a"].to_numpy(),
-                            "b": batch["b"].to_numpy(), "jaccard": jac})
-        return out[out["jaccard"] >= self.threshold]
+    jac = np.fromiter(
+        (jaccard(sh(a, ta), sh(b, tb))
+         for a, b, ta, tb in zip(batch["a"], batch["b"],
+                                 batch["__text_a"], batch["__text_b"])),
+        np.float64, len(batch))
+    if round_to is not None:
+        jac = np.round(jac, round_to)
+    out = pd.DataFrame({"a": batch["a"].to_numpy(),
+                        "b": batch["b"].to_numpy(), "jaccard": jac})
+    return out[out["jaccard"] >= threshold]
 
 
 def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.5,
@@ -401,10 +393,8 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.5,
                                   text_col, id_col, hash_fn=hash_fn)
     withtext = _pairs_with_texts(cand, docs, text_col, id_col)
     mode = "byte" if hash_fn == "uni" else "char"
-    return withtext.map_batches(
-        _JaccardVerify,
-        fn_constructor_args=(shingle_k, threshold, round_to, mode),
-        batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(withtext, (shingle_k, threshold, round_to, mode),
+                         _jaccard_verify)
 
 
 def minhash_dedup(docs: ray.data.Dataset, threshold: float = 0.5,
@@ -424,9 +414,8 @@ def minhash_dedup(docs: ray.data.Dataset, threshold: float = 0.5,
                                   text_col, id_col, hash_fn=hash_fn)
     withtext = _pairs_with_texts(cand, docs, text_col, id_col)
     mode = "byte" if hash_fn == "uni" else "char"
-    verified = withtext.map_batches(
-        _JaccardVerify, fn_constructor_args=(shingle_k, threshold, None, mode),
-        batch_format="pandas", concurrency=(1, 8))
+    verified = broadcast_map(withtext, (shingle_k, threshold, None, mode),
+                             _jaccard_verify)
     return _clusters_from_pairs(verified, docs, id_col)
 
 
@@ -579,50 +568,42 @@ def jaccard_join_exact(docs: ray.data.Dataset, threshold: float = 0.6,
                                      num_buckets=num_buckets)
     cand = shuffle.distinct(cand, ["a", "b"], num_buckets=num_buckets)
     withtext = _pairs_with_texts(cand, docs, text_col, id_col, num_buckets)
-    return withtext.map_batches(
-        _JaccardVerify, fn_constructor_args=(shingle_k, threshold, round_to),
-        batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(withtext, (shingle_k, threshold, round_to, "byte"),
+                         _jaccard_verify)
 
 
-class _CosineVerify:
+def _cosine_verify(batch: pd.DataFrame, params: tuple) -> pd.DataFrame:
     """Exact binary-cosine per candidate pair: accept iff
     i²·q² ≥ p²·na·nb with threshold t = p/q — ALL-INTEGER, so the cut
     is bit-identical to the SQL twin's integer cross-multiply; the
     reported cosine = round(i / sqrt(na·nb), round_to) is one IEEE
-    sqrt + divide, shared with the twin."""
+    sqrt + divide, shared with the twin.  ``params`` =
+    (shingle_k, p, q, round_to)."""
+    k, p, q, round_to = params
+    cache: dict = {}
 
-    def __init__(self, shingle_k: int, p: int, q: int,
-                 round_to: int | None = None):
-        self.k = shingle_k
-        self.p = p
-        self.q = q
-        self.round_to = round_to
+    def sh(i, text) -> set:
+        if i not in cache:
+            cache[i] = char_shingles(text, k)
+        return cache[i]
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        cache: dict = {}
-
-        def sh(i, text) -> set:
-            if i not in cache:
-                cache[i] = char_shingles(text, self.k)
-            return cache[i]
-
-        rows_a, rows_b, cos = [], [], []
-        p2, q2 = self.p * self.p, self.q * self.q
-        for a, b, ta, tb in zip(batch["a"], batch["b"],
-                                batch["__text_a"], batch["__text_b"]):
-            sa, sb = sh(a, ta), sh(b, tb)
-            na, nb = len(sa), len(sb)
-            if na == 0 or nb == 0:
-                continue
-            i = len(sa & sb)
-            if i * i * q2 >= p2 * na * nb:
-                rows_a.append(a)
-                rows_b.append(b)
-                cos.append(i / np.sqrt(float(na) * float(nb)))
-        c = np.asarray(cos, np.float64)
-        if self.round_to is not None:
-            c = np.round(c, self.round_to)
-        return pd.DataFrame({"a": rows_a, "b": rows_b, "cosine": c})
+    rows_a, rows_b, cos = [], [], []
+    p2, q2 = p * p, q * q
+    for a, b, ta, tb in zip(batch["a"], batch["b"],
+                            batch["__text_a"], batch["__text_b"]):
+        sa, sb = sh(a, ta), sh(b, tb)
+        na, nb = len(sa), len(sb)
+        if na == 0 or nb == 0:
+            continue
+        i = len(sa & sb)
+        if i * i * q2 >= p2 * na * nb:
+            rows_a.append(a)
+            rows_b.append(b)
+            cos.append(i / np.sqrt(float(na) * float(nb)))
+    c = np.asarray(cos, np.float64)
+    if round_to is not None:
+        c = np.round(c, round_to)
+    return pd.DataFrame({"a": rows_a, "b": rows_b, "cosine": c})
 
 
 def cosine_join_exact(docs: ray.data.Dataset, threshold: float = 0.7,
@@ -693,9 +674,8 @@ def cosine_join_exact(docs: ray.data.Dataset, threshold: float = 0.7,
                                      num_buckets=num_buckets)
     cand = shuffle.distinct(cand, ["a", "b"], num_buckets=num_buckets)
     withtext = _pairs_with_texts(cand, docs, text_col, id_col, num_buckets)
-    return withtext.map_batches(
-        _CosineVerify, fn_constructor_args=(shingle_k, p, q, round_to),
-        batch_format="pandas", concurrency=(1, 8))
+    return broadcast_map(withtext, (shingle_k, p, q, round_to),
+                         _cosine_verify)
 
 
 def _clusters_from_pairs(pairs: ray.data.Dataset, docs: ray.data.Dataset,
@@ -838,26 +818,22 @@ def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 8,
     signature DuckDB-reproducible (see :class:`SimHasher`).
     Output (a, b, hamming)."""
 
-    class Stage:
-        def __init__(self):
-            self.sh = SimHasher(hash_fn)
+    def stage(batch: pd.DataFrame, sh: SimHasher) -> pd.DataFrame:
+        width = 64 // bands
+        mask = np.uint64((1 << width) - 1)
+        sig = sh.signatures(batch[text_col])
+        n = len(sig)
+        band_arr = np.tile(np.arange(bands, dtype=np.int64), n)
+        sig_rep = np.repeat(sig, bands)
+        keys = ((sig_rep >> (band_arr.astype(np.uint64)
+                             * np.uint64(width))) & mask).astype(np.int64)
+        return pd.DataFrame({
+            id_col: np.repeat(batch[id_col].to_numpy(), bands),
+            "band_id": band_arr,
+            "key": keys,
+            "sig": sig_rep.view(np.int64)})  # bit-exact reinterpret
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            width = 64 // bands
-            mask = np.uint64((1 << width) - 1)
-            sig = self.sh.signatures(batch[text_col])
-            n = len(sig)
-            band_arr = np.tile(np.arange(bands, dtype=np.int64), n)
-            sig_rep = np.repeat(sig, bands)
-            keys = ((sig_rep >> (band_arr.astype(np.uint64)
-                                 * np.uint64(width))) & mask).astype(np.int64)
-            return pd.DataFrame({
-                id_col: np.repeat(batch[id_col].to_numpy(), bands),
-                "band_id": band_arr,
-                "key": keys,
-                "sig": sig_rep.view(np.int64)})  # bit-exact reinterpret
-
-    banded = docs.map_batches(Stage, batch_format="pandas", concurrency=(1, 8))
+    banded = broadcast_map(docs, hash_fn, stage, prepare=SimHasher)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on=["band_id", "key"])
@@ -1054,48 +1030,42 @@ def prefix_dedup(docs: ray.data.Dataset, text_col: str = "text",
     return survivors.union(ray.data.from_pandas(extra))
 
 
-class _ContainVerify:
+_CONTAIN_CACHE_CAP = 200_000
+
+
+def _contain_verify(batch: pd.DataFrame, params: tuple) -> pd.DataFrame:
     """Exact shingle containment |A∩B| / |A| per DIRECTED pair; texts
-    arrive in the batch (joined upstream).  The shingle-array cache is
-    ACTOR-persistent (docs recur across thousands of pair batches —
-    a per-batch cache re-shingled every text ~400× and dominated the
-    stage; measured 20 s → ~2 s), bounded by ``cache_cap`` entries.
+    arrive in the batch (joined upstream).  ``params`` =
+    (shingle_k, threshold, round_to, cache).  The shingle-array cache
+    is prepared once per worker and persists across the stage's batches
+    (docs recur across thousands of pair batches — a per-batch cache
+    re-shingled every text ~400× and dominated the stage; measured
+    20 s → ~2 s), bounded by ``_CONTAIN_CACHE_CAP`` entries, and is
+    dropped with the rest of the prepared state once the stage idles.
     Intersections are sorted-unique numpy merges, not Python sets."""
+    k, threshold, round_to, cache = params
 
-    def __init__(self, shingle_k: int, threshold: float,
-                 round_to: int | None = None,
-                 cache_cap: int = 200_000):
-        self.k = shingle_k
-        self.threshold = threshold
-        self.round_to = round_to
-        self.cache: dict = {}
-        self.cache_cap = cache_cap
-
-    def _sh(self, i, text) -> np.ndarray:
-        arr = self.cache.get(i)
+    def sh(i, text) -> np.ndarray:
+        arr = cache.get(i)
         if arr is None:
-            if len(self.cache) >= self.cache_cap:
-                self.cache.clear()
-            arr = _shingle_id_array(text, self.k)
-            self.cache[i] = arr
+            if len(cache) >= _CONTAIN_CACHE_CAP:
+                cache.clear()
+            arr = _shingle_id_array(text, k)
+            cache[i] = arr
         return arr
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        con = np.fromiter(
-            (len(np.intersect1d(self._sh(a, ta), self._sh(b, tb),
-                                assume_unique=True))
-             / max(len(self._sh(a, ta)), 1)
-             for a, b, ta, tb in zip(batch["a"], batch["b"],
-                                     batch["__text_a"],
-                                     batch["__text_b"])),
-            np.float64, len(batch))
-        keep = con >= self.threshold
-        out = pd.DataFrame({"a": batch["a"].to_numpy(),
-                            "b": batch["b"].to_numpy(),
-                            "containment": (np.round(con, self.round_to)
-                                            if self.round_to is not None
-                                            else con)})
-        return out[keep]
+    con = np.fromiter(
+        (len(np.intersect1d(sh(a, ta), sh(b, tb), assume_unique=True))
+         / max(len(sh(a, ta)), 1)
+         for a, b, ta, tb in zip(batch["a"], batch["b"],
+                                 batch["__text_a"], batch["__text_b"])),
+        np.float64, len(batch))
+    keep = con >= threshold
+    out = pd.DataFrame({"a": batch["a"].to_numpy(),
+                        "b": batch["b"].to_numpy(),
+                        "containment": (np.round(con, round_to)
+                                        if round_to is not None else con)})
+    return out[keep]
 
 
 def containment_join(docs: ray.data.Dataset, threshold: float = 0.8,
@@ -1117,7 +1087,7 @@ def containment_join(docs: ray.data.Dataset, threshold: float = 0.8,
     probe prefixes are exploded against the index, and candidates are
     pre-filtered by the size bound ``|b| ≥ t·|a|``.  Verification
     joins texts onto the candidate stream (`_pairs_with_texts`) and
-    runs the exact set intersection in an actor pool.
+    runs the exact set intersection batch-wise.
 
     ``order="df"`` (default) sorts each probe's shingles by global
     document frequency so the prefix holds its RAREST shingles —
@@ -1192,7 +1162,6 @@ def containment_join(docs: ray.data.Dataset, threshold: float = 0.8,
         num_buckets=num_buckets).materialize()
     withtext = _pairs_with_texts(cand, docs, text_col, id_col,
                                  num_buckets)
-    return withtext.map_batches(
-        _ContainVerify, fn_constructor_args=(shingle_k, threshold,
-                                             round_to),
-        batch_format="pandas", batch_size=8192, concurrency=(1, 8))
+    return broadcast_map(withtext, (shingle_k, threshold, round_to),
+                         _contain_verify, prepare=lambda p: p + ({},),
+                         batch_size=8192)

@@ -2,7 +2,7 @@
 
 - ``ann_topk``: brute-force cosine top-k — the exact baseline: per-batch
   numpy matmul against a *broadcast* normalized query matrix
-  (``ray.put`` once, read per actor), per-batch partial top-k, then a
+  (put once, read once per worker), per-batch partial top-k, then a
   tiny ``groupby(query_id)`` merge.  The corpus streams; nothing
   materializes.
 - ``ivf_topk``: the scale path — IVF-style bucketing by nearest coarse
@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import ray
 import ray.data
+
+from city2graph_ray.joins import broadcast_map
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -40,30 +42,25 @@ def ann_topk(corpus: ray.data.Dataset, queries: pd.DataFrame, k: int = 10,
     ranking so results are reproducible against SQL oracles."""
     qm = _normalize(_to_matrix(queries[vec_col]))
     qids = queries["query_id"].to_numpy()
-    ref = ray.put((qids, qm))
 
-    class Score:
-        def __init__(self):
-            self.qids, self.qm = ray.get(ref)
+    def score(batch: pd.DataFrame, q: tuple) -> pd.DataFrame:
+        qids_, qm_ = q
+        cm = _normalize(_to_matrix(batch[vec_col]))
+        sims = cm @ qm_.T  # (n_corpus, n_queries)
+        if round_to is not None:
+            sims = np.round(sims, round_to)
+        ids = batch[id_col].to_numpy()
+        kk = min(k, len(ids))
+        # per-query partial top-k within this batch
+        order = np.lexsort((ids[:, None].repeat(sims.shape[1], 1), -sims),
+                           axis=0)[:kk]
+        rows = order.ravel(order="F")
+        qcol = np.repeat(qids_, kk)
+        return pd.DataFrame({"query_id": qcol, id_col: ids[rows],
+                             "cosine": sims[rows, np.repeat(
+                                 np.arange(sims.shape[1]), kk)]})
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            cm = _normalize(_to_matrix(batch[vec_col]))
-            sims = cm @ self.qm.T  # (n_corpus, n_queries)
-            if round_to is not None:
-                sims = np.round(sims, round_to)
-            ids = batch[id_col].to_numpy()
-            kk = min(k, len(ids))
-            # per-query partial top-k within this batch
-            order = np.lexsort((ids[:, None].repeat(sims.shape[1], 1), -sims),
-                               axis=0)[:kk]
-            rows = order.ravel(order="F")
-            qcol = np.repeat(self.qids, kk)
-            return pd.DataFrame({"query_id": qcol, id_col: ids[rows],
-                                 "cosine": sims[rows, np.repeat(
-                                     np.arange(sims.shape[1]), kk)]})
-
-    partials = corpus.map_batches(Score, batch_format="pandas",
-                                  concurrency=(1, 8))
+    partials = broadcast_map(corpus, (qids, qm), score)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["cosine", id_col], ascending=[False, True],
@@ -86,27 +83,20 @@ def _centroids(corpus: ray.data.Dataset, n_centroids: int,
     step = max(n // n_centroids, 1)
     sample = corpus.filter(lambda r: r[id_col] % step == 0).limit(n_centroids)
     cents = _normalize(_to_matrix(sample.to_pandas()[vec_col]))
+
+    def partial(batch: pd.DataFrame, cents_: np.ndarray) -> pd.DataFrame:
+        cm = _normalize(_to_matrix(batch[vec_col]))
+        a = np.argmax(cm @ cents_.T, axis=1)
+        sums = np.zeros_like(cents_)
+        np.add.at(sums, a, cm)
+        counts = np.bincount(a, minlength=len(cents_))
+        return pd.DataFrame({
+            "c": np.arange(len(cents_), dtype=np.int64),
+            "n": counts.astype(np.int64),
+            "vec": list(sums)})
+
     for _ in range(train_iters):
-        ref = ray.put(cents)
-
-        class Partial:
-            def __init__(self):
-                self.cents = ray.get(ref)
-
-            def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-                cm = _normalize(_to_matrix(batch[vec_col]))
-                a = np.argmax(cm @ self.cents.T, axis=1)
-                sums = np.zeros_like(self.cents)
-                np.add.at(sums, a, cm)
-                counts = np.bincount(a, minlength=len(self.cents))
-                return pd.DataFrame({
-                    "c": np.arange(len(self.cents), dtype=np.int64),
-                    "n": counts.astype(np.int64),
-                    "vec": list(sums)})
-
-
-        parts = corpus.map_batches(Partial, batch_format="pandas",
-                                   concurrency=(1, 8)).to_pandas()
+        parts = broadcast_map(corpus, cents, partial).to_pandas()
         sums = np.zeros_like(cents)
         counts = np.zeros(len(cents), dtype=np.int64)
         for c, cnt, vec in zip(parts["c"], parts["n"], parts["vec"]):
@@ -132,19 +122,14 @@ def ivf_topk(corpus: ray.data.Dataset, queries: pd.DataFrame, k: int = 10,
     q_buckets = np.argsort(-(qm @ cents.T), axis=1)[:, :nprobe]
     ref = ray.put((cents, qids, qm, q_buckets))
 
-    class Assign:
-        def __init__(self):
-            self.cents, *_ = ray.get(ref)
+    def assign(batch: pd.DataFrame, cents_: np.ndarray) -> pd.DataFrame:
+        cm = _normalize(_to_matrix(batch[vec_col]))
+        b = np.argmax(cm @ cents_.T, axis=1)
+        out = batch[[id_col, vec_col]].copy()
+        out["bucket"] = b.astype(np.int64)
+        return out
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            cm = _normalize(_to_matrix(batch[vec_col]))
-            b = np.argmax(cm @ self.cents.T, axis=1)
-            out = batch[[id_col, vec_col]].copy()
-            out["bucket"] = b.astype(np.int64)
-            return out
-
-    bucketed = corpus.map_batches(Assign, batch_format="pandas",
-                                  concurrency=(1, 8))
+    bucketed = broadcast_map(corpus, ref, assign, prepare=lambda st: st[0])
 
     def probe(g: pd.DataFrame) -> pd.DataFrame:
         _, qids_, qm_, q_buckets_ = ray.get(ref)  # zero-copy object-store read
@@ -238,18 +223,13 @@ def lsh_topk(corpus: ray.data.Dataset, queries: pd.DataFrame, k: int = 10,
         probe_codes[qi] = codes
     ref = ray.put((planes, qids, qm, probe_codes))
 
-    class Assign:
-        def __init__(self):
-            self.planes, *_ = ray.get(ref)
+    def assign(batch: pd.DataFrame, planes_: np.ndarray) -> pd.DataFrame:
+        cm = _normalize(_to_matrix(batch[vec_col]))
+        out = batch[[id_col, vec_col]].copy()
+        out["bucket"] = _srp_codes(cm, planes_)
+        return out
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            cm = _normalize(_to_matrix(batch[vec_col]))
-            out = batch[[id_col, vec_col]].copy()
-            out["bucket"] = _srp_codes(cm, self.planes)
-            return out
-
-    bucketed = corpus.map_batches(Assign, batch_format="pandas",
-                                  concurrency=(1, 8))
+    bucketed = broadcast_map(corpus, ref, assign, prepare=lambda st: st[0])
 
     def probe(g: pd.DataFrame) -> pd.DataFrame:
         _, qids_, qm_, probe_codes_ = ray.get(ref)
@@ -292,21 +272,15 @@ def embedding_neardup(corpus: ray.data.Dataset, threshold: float = 0.95,
     near-dups almost always share the nearest centroid).  For the
     exact small-scale oracle set n_centroids=1."""
     cents = _centroids(corpus, n_centroids, vec_col, id_col)
-    ref = ray.put(cents)
 
-    class Assign:
-        def __init__(self):
-            self.cents = ray.get(ref)
+    def assign(batch: pd.DataFrame, cents_: np.ndarray) -> pd.DataFrame:
+        cm = _normalize(_to_matrix(batch[vec_col]))
+        out = batch[[id_col, vec_col]].copy()
+        out["bucket"] = (np.argmax(cm @ cents_.T, axis=1).astype(np.int64)
+                         if len(cents_) > 1 else np.int64(0))
+        return out
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            cm = _normalize(_to_matrix(batch[vec_col]))
-            out = batch[[id_col, vec_col]].copy()
-            out["bucket"] = (np.argmax(cm @ self.cents.T, axis=1).astype(np.int64)
-                             if len(self.cents) > 1 else np.int64(0))
-            return out
-
-    bucketed = corpus.map_batches(Assign, batch_format="pandas",
-                                  concurrency=(1, 8))
+    bucketed = broadcast_map(corpus, cents, assign)
 
     # hot-bucket cap: a bucket larger than ``cap`` recursively splits on
     # a deterministic projection with an overlap band of width

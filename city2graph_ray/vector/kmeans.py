@@ -44,6 +44,7 @@ import pyarrow as pa
 import ray.data
 
 from city2graph_ray import shuffle
+from city2graph_ray.joins import broadcast_map
 from city2graph_ray.vector.ann import _to_matrix
 
 __all__ = ["kmeans_quantized", "kmeans_silhouette", "pq_codes",
@@ -345,7 +346,7 @@ def hard_negatives(ds: ray.data.Dataset, k: int = 4,
     exact baseline; beyond that, route candidates through the IVF
     buckets (``ivf_topk``) and verify exactly per bucket, as
     ``embedding_neardup`` does.  Never a per-batch re-ship: the
-    matrix ships to each actor once.
+    matrix ships to each worker once.
     """
     quant = ds.map_batches(
         lambda b: _quantize(b, vec_col, id_col, scale, offset),
@@ -369,31 +370,28 @@ def hard_negatives(ds: ray.data.Dataset, k: int = 4,
     # candidate order: ascending id, so the first minimum IS the
     # smallest-id tie-winner
     order = np.argsort(ids, kind="stable")
-    ref = ray.put((qm[order], cids[order], ids[order]))
 
-    class Miner:
-        def __init__(self):
-            self.qm, self.cids, self.ids = ray.get(ref)
-            self.q2 = (self.qm * self.qm).sum(axis=1)
+    def with_norms(cand: tuple) -> tuple:
+        return cand + ((cand[0] * cand[0]).sum(axis=1),)
 
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            q = np.stack(b["__q"].to_numpy()).astype(np.int64)
-            rw, _ = _assign(q, cents)
-            own = labels[rw]
-            x2 = (q * q).sum(axis=1, keepdims=True)
-            d = x2 - 2 * (q @ self.qm.T) + self.q2[None, :]
-            d[own[:, None] == self.cids[None, :]] = np.iinfo(
-                np.int64).max
-            j = np.argmin(d, axis=1)
-            return pd.DataFrame({
-                id_col: b[id_col].to_numpy(),
-                "cid": own,
-                "neg_id": self.ids[j],
-                "neg_cid": self.cids[j],
-                "neg_dist": d[np.arange(len(q)), j]})
+    def mine(b: pd.DataFrame, cand: tuple) -> pd.DataFrame:
+        cand_qm, cand_cids, cand_ids, cand_q2 = cand
+        q = np.stack(b["__q"].to_numpy()).astype(np.int64)
+        rw, _ = _assign(q, cents)
+        own = labels[rw]
+        x2 = (q * q).sum(axis=1, keepdims=True)
+        d = x2 - 2 * (q @ cand_qm.T) + cand_q2[None, :]
+        d[own[:, None] == cand_cids[None, :]] = np.iinfo(np.int64).max
+        j = np.argmin(d, axis=1)
+        return pd.DataFrame({
+            id_col: b[id_col].to_numpy(),
+            "cid": own,
+            "neg_id": cand_ids[j],
+            "neg_cid": cand_cids[j],
+            "neg_dist": d[np.arange(len(q)), j]})
 
-    return quant.map_batches(Miner, batch_format="pandas",
-                             concurrency=(1, 8))
+    return broadcast_map(quant, (qm[order], cids[order], ids[order]), mine,
+                         prepare=with_norms)
 
 
 def sq8_codes(ds: ray.data.Dataset, scale: float = 10_000.0,

@@ -52,6 +52,21 @@ def part_polys() -> pd.DataFrame:
     return pd.DataFrame({"id": keys.astype(np.int64), "coords": list(rings)})
 
 
+def oracle_df(name: str, sf_dir: str = SF_DIR) -> pd.DataFrame:
+    """Evaluate the correctness gate's ``oracle_sql()[name]`` with
+    DuckDB over the sf_dir tables: the one SQL oracle per query."""
+    import duckdb
+
+    import __ray_entry__
+
+    con = duckdb.connect()
+    for t in ["region", "nation", "customer", "supplier", "part", "orders",
+              "lineitem"]:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{sf_dir}/{t}.parquet')")
+    return con.execute(__ray_entry__.oracle_sql()[name]).df()
+
+
 def brute_dist(pts: pd.DataFrame) -> np.ndarray:
     x = pts["x"].to_numpy()
     y = pts["y"].to_numpy()

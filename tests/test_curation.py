@@ -9,7 +9,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from tests.conftest import SF_DIR
+from tests.conftest import SF_DIR, oracle_df
 
 
 def _grams(text: str, n: int = 3) -> set[str]:
@@ -174,27 +174,9 @@ def test_order_priority_check_matches_duckdb():
 
 
 def test_returned_item_report_matches_duckdb():
-    import duckdb
-
     from city2graph_ray.pipelines.relational import returned_item_report
-    out = returned_item_report(SF_DIR, k=10).to_pandas()
-    want = duckdb.execute(f"""
-        SELECT c_custkey, c_name,
-               round(sum(round(l_extendedprice * (1 - l_discount), 2)),
-                     2) AS revenue,
-               c_acctbal, n_name
-        FROM read_parquet('{SF_DIR}/customer.parquet') cu
-        JOIN read_parquet('{SF_DIR}/orders.parquet') o
-          ON o_custkey = c_custkey
-        JOIN read_parquet('{SF_DIR}/lineitem.parquet') li
-          ON l_orderkey = o_orderkey
-        JOIN read_parquet('{SF_DIR}/nation.parquet') na
-          ON n_nationkey = c_nationkey
-        WHERE o_orderdate >= DATE '1995-01-01'
-          AND o_orderdate < DATE '1995-04-01'
-          AND l_returnflag = 'R'
-        GROUP BY c_custkey, c_name, c_acctbal, n_name
-        ORDER BY revenue DESC, c_custkey LIMIT 10""").df()
+    out = returned_item_report(SF_DIR).to_pandas()
+    want = oracle_df("tpch_q10_returns")
     assert out["c_custkey"].tolist() == want["c_custkey"].tolist()
     assert np.array_equal(out["revenue"].to_numpy(),
                           want["revenue"].to_numpy())

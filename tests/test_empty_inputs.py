@@ -165,6 +165,7 @@ def test_clustering_cap_removes_all_edges_empty(ray_session):
     version drops ALL empty-Dataset schemas through to_pandas — the
     repo-wide gotcha — so only the row count is assertable), and a
     non-binding cap must leave the exact result untouched."""
+    import pyarrow as pa
     import ray.data as rd
 
     from city2graph_ray.ops.graph_algos import clustering_coefficient
@@ -176,3 +177,15 @@ def test_clustering_cap_removes_all_edges_empty(ray_session):
     full = (clustering_coefficient(rd.from_pandas(e), max_degree=99)
             .to_pandas().sort_values("node").reset_index(drop=True))
     assert list(full["coeff"]) == [1.0, 1.0, 1.0]
+    # int32 node ids: the capped-empty result keeps the node type of
+    # the normal path instead of a hardcoded int64
+    e32 = e.astype(np.int32)
+    empty = clustering_coefficient(rd.from_pandas(e32), max_degree=1)
+    normal = clustering_coefficient(rd.from_pandas(e32),
+                                    max_degree=99).materialize()
+
+    def fields(ds):
+        return list(zip(ds.schema().names, ds.schema().types))
+
+    assert fields(empty) == fields(normal)
+    assert dict(fields(empty))["node"] == pa.int32()

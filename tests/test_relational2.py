@@ -5,7 +5,7 @@ sf0.01."""
 import duckdb
 import numpy as np
 
-from tests.conftest import SF_DIR
+from tests.conftest import SF_DIR, oracle_df
 
 
 def _con():
@@ -20,24 +20,7 @@ def _con():
 def test_volume_shipping_matches_duckdb():
     from city2graph_ray.pipelines.relational import volume_shipping
     out = volume_shipping(SF_DIR).to_pandas()
-    want = _con().execute("""
-        SELECT supp_nation, cust_nation, l_year,
-               round(sum(round(l_extendedprice*(1-l_discount),2)),2)
-                 AS volume
-        FROM (SELECT ns.n_name supp_nation, nc.n_name cust_nation,
-                     year(l_shipdate) l_year, l_extendedprice,
-                     l_discount
-              FROM lineitem
-              JOIN supplier ON s_suppkey = l_suppkey
-              JOIN nation ns ON ns.n_nationkey = s_nationkey
-              JOIN orders ON o_orderkey = l_orderkey
-              JOIN customer ON c_custkey = o_custkey
-              JOIN nation nc ON nc.n_nationkey = c_nationkey
-              WHERE l_shipdate >= DATE '1995-01-01'
-                AND l_shipdate < DATE '1997-01-01'
-                AND ((ns.n_name='NATION_20' AND nc.n_name='NATION_11')
-                  OR (ns.n_name='NATION_11' AND nc.n_name='NATION_20')))
-        GROUP BY 1,2,3 ORDER BY 1,2,3""").df()
+    want = oracle_df("tpch_q7_volume")
     assert out["volume"].tolist() == want["volume"].tolist()
     assert out["supp_nation"].tolist() == want["supp_nation"].tolist()
 
@@ -141,18 +124,7 @@ def test_late_shipment_priority_matches_duckdb():
 def test_important_parts_matches_duckdb():
     from city2graph_ray.pipelines.relational import important_parts
     out = important_parts(SF_DIR).to_pandas()
-    want = _con().execute("""
-        WITH sl AS (SELECT l_partkey,
-                           CAST(floor(l_extendedprice*100+0.5)
-                                AS BIGINT) AS cents
-                    FROM lineitem JOIN supplier
-                      ON s_suppkey = l_suppkey
-                    WHERE s_nationkey IN (1,3,5)),
-        pp AS (SELECT l_partkey, sum(cents) cs FROM sl GROUP BY 1),
-        t AS (SELECT sum(cents) tc FROM sl)
-        SELECT l_partkey, cs/100.0 AS value
-        FROM pp, t WHERE cs*10000 > tc*12
-        ORDER BY value DESC, l_partkey""").df()
+    want = oracle_df("tpch_q11_important")
     assert len(out) > 0  # threshold chosen to be non-trivial here
     assert out["l_partkey"].tolist() == want["l_partkey"].tolist()
     assert out["value"].tolist() == want["value"].tolist()

@@ -132,6 +132,34 @@ def test_checkpoint_resume(tmp_path):
     assert len(m) == 3 and all(r["rows"] == 10 for r in m)
 
 
+def test_checkpoint_resume_rewrites_lost_part_files(tmp_path):
+    from city2graph_ray.state.lineage import (checkpointed_write,
+                                              completed_partitions,
+                                              load_checkpoint)
+    df = pd.DataFrame({"cell": np.repeat(np.arange(16), 25),
+                       "v": np.arange(400, dtype=np.int64)})
+    root = str(tmp_path)
+    s1 = checkpointed_write(rd.from_pandas(df), root, "stage_b", "cell",
+                            fingerprint="fp")
+    assert s1["partitions"] == 16 and s1["skipped"] == 0
+    lost = {"3", "7", "11", "15"}
+    for key in lost:  # part files gone, manifests kept
+        (tmp_path / "stage_b" / f"part-{key}.parquet").unlink()
+    kept = {p.name: p.stat().st_mtime_ns
+            for p in (tmp_path / "stage_b").glob("part-*.parquet")}
+    assert completed_partitions(root, "stage_b", "fp") == (
+        {str(k) for k in range(16)} - lost)
+    s2 = checkpointed_write(rd.from_pandas(df), root, "stage_b", "cell",
+                            fingerprint="fp")
+    assert s2["skipped"] == 12 and s2["partitions"] - s2["skipped"] == 4
+    now = {p.name: p.stat().st_mtime_ns
+           for p in (tmp_path / "stage_b").glob("part-*.parquet")}
+    assert {n: now[n] for n in kept} == kept
+    assert set(now) - set(kept) == {f"part-{k}.parquet" for k in lost}
+    back = load_checkpoint(root, "stage_b").to_pandas()
+    assert sorted(back["v"]) == list(range(400))
+
+
 def test_prepare_barriers(seg_df):
     from city2graph_ray.ops.segments import barrier_geometries, prepare_barriers
     with_b = barrier_geometries(rd.from_pandas(seg_df))
