@@ -33,7 +33,8 @@ import numpy as np
 import pandas as pd
 import ray
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "sweep_manifest.json")
 _IMP_RE = re.compile(r"^\s*(?:from|import)\s+(city2graph_ray[.\w]*)",
@@ -43,7 +44,7 @@ _IMP_RE = re.compile(r"^\s*(?:from|import)\s+(city2graph_ray[.\w]*)",
 def _dep_closure() -> tuple[dict, dict]:
     """Static import graph of the package: module-file → transitive
     set of module-files it imports, plus per-file content hashes."""
-    pkg = "/root/repo/city2graph_ray"
+    pkg = os.path.join(ROOT, "city2graph_ray")
     texts: dict[str, str] = {}
     for root, _dirs, names in os.walk(pkg):
         for nm in names:
@@ -52,7 +53,7 @@ def _dep_closure() -> tuple[dict, dict]:
                 texts[p] = open(p, encoding="utf-8").read()
     mod_of: dict[str, str] = {}
     for p in texts:
-        rel = os.path.relpath(p, "/root/repo")[:-3]
+        rel = os.path.relpath(p, ROOT)[:-3]
         mod = rel.replace(os.sep, ".")
         if mod.endswith(".__init__"):
             mod = mod[: -len(".__init__")]
@@ -165,8 +166,8 @@ def main():
     sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
     only = set(argv[1:])
 
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
-             logging_level="ERROR")
+    ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+             include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
@@ -252,7 +253,7 @@ def _head() -> str:
         import subprocess
         try:
             _HEAD_CACHE.append(subprocess.run(
-                ["git", "-C", "/root/repo", "rev-parse", "--short", "HEAD"],
+                ["git", "-C", ROOT, "rev-parse", "--short", "HEAD"],
                 capture_output=True, text=True).stdout.strip())
         except OSError:
             _HEAD_CACHE.append("unknown")

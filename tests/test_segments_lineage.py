@@ -160,6 +160,88 @@ def test_checkpoint_resume_rewrites_lost_part_files(tmp_path):
     assert sorted(back["v"]) == list(range(400))
 
 
+def test_checkpoint_holds_only_last_write(tmp_path):
+    from city2graph_ray.state.lineage import (checkpointed_write,
+                                              load_checkpoint, stage_metrics)
+    df = pd.DataFrame({"cell": np.repeat([1, 2, 3], 10),
+                       "v": np.arange(30, dtype=np.int64)})
+    root = str(tmp_path)
+    checkpointed_write(rd.from_pandas(df), root, "stage_c", "cell",
+                       fingerprint="fp1")
+    s2 = checkpointed_write(rd.from_pandas(df[df["cell"] < 3]), root,
+                            "stage_c", "cell", fingerprint="fp2")
+    assert s2["partitions"] == 2 and s2["skipped"] == 0
+    assert sorted(p.name for p in (tmp_path / "stage_c").glob("part-*")) == [
+        "part-1.parquet", "part-2.parquet"]
+    assert [m["partition"] for m in stage_metrics(root, "stage_c")] == ["1", "2"]
+    back = load_checkpoint(root, "stage_c").to_pandas()
+    assert sorted(back["v"]) == list(range(20))
+
+
+def test_checkpoint_load_skips_part_without_manifest(tmp_path):
+    from city2graph_ray.state.lineage import (checkpointed_write,
+                                              load_checkpoint)
+    df = pd.DataFrame({"cell": np.repeat([1, 2, 3], 10),
+                       "v": np.arange(30, dtype=np.int64)})
+    root = str(tmp_path)
+    checkpointed_write(rd.from_pandas(df), root, "stage_d", "cell",
+                       fingerprint="fp")
+    (tmp_path / "stage_d" / "_manifest" / "2.json").unlink()
+    back = load_checkpoint(root, "stage_d").to_pandas()
+    assert sorted(back["v"]) == list(range(10)) + list(range(20, 30))
+    s2 = checkpointed_write(rd.from_pandas(df), root, "stage_d", "cell",
+                            fingerprint="fp")
+    assert s2["skipped"] == 2 and s2["partitions"] == 3
+    back = load_checkpoint(root, "stage_d").to_pandas()
+    assert sorted(back["v"]) == list(range(30))
+
+
+def test_checkpoint_empty_stage_loads_with_schema(tmp_path):
+    import pyarrow as pa
+
+    from city2graph_ray.state.lineage import (checkpointed_write,
+                                              load_checkpoint)
+    df = pd.DataFrame({"cell": np.repeat([1, 2, 3], 10),
+                       "v": np.arange(30, dtype=np.int64)}).iloc[:0]
+    root = str(tmp_path)
+    s = checkpointed_write(rd.from_pandas(df), root, "stage_e", "cell",
+                           fingerprint="fp")
+    assert s["partitions"] == 0 and s["rows"] == 0
+    back = load_checkpoint(root, "stage_e")
+    assert back.count() == 0
+    schema = back.schema().base_schema
+    assert schema.names == ["cell", "v"]
+    assert schema.types == [pa.int64(), pa.int64()]
+
+
+def test_checkpoint_round_trip_keeps_nested_schema(tmp_path):
+    import pyarrow as pa
+
+    from city2graph_ray.state.lineage import (checkpointed_write,
+                                              load_checkpoint)
+    span = pa.struct([("kind", pa.string()), ("text", pa.string()),
+                      ("media_ref", pa.string()), ("offset", pa.int32())])
+    schema = pa.schema([("doc_id", pa.int64()), ("tile", pa.int64()),
+                        ("spans", pa.list_(span))])
+    rows = []
+    for d in range(40):
+        tile = d % 4
+        spans = [{"kind": "text", "text": f"t{d}", "media_ref": None,
+                  "offset": 0}]
+        if tile != 2:  # tile 2: every media_ref null
+            spans.append({"kind": "image", "text": None,
+                          "media_ref": f"img{d}", "offset": 1})
+        rows.append({"doc_id": d, "tile": tile, "spans": spans})
+    table = pa.Table.from_pylist(rows, schema=schema)
+    root = str(tmp_path)
+    checkpointed_write(rd.from_arrow(table), root, "spans", "tile",
+                       fingerprint="fp")
+    back = pa.concat_tables(
+        load_checkpoint(root, "spans").iter_batches(batch_format="pyarrow"))
+    assert back.schema.remove_metadata() == schema
+    assert sorted(back.to_pylist(), key=lambda r: r["doc_id"]) == rows
+
+
 def test_prepare_barriers(seg_df):
     from city2graph_ray.ops.segments import barrier_geometries, prepare_barriers
     with_b = barrier_geometries(rd.from_pandas(seg_df))
