@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data
 
@@ -38,6 +39,10 @@ def _empty_edges() -> pd.DataFrame:
     return pd.DataFrame({k: pd.Series(dtype=v) for k, v in _EDGE_SCHEMA.items()})
 
 
+def _to_arrow(b: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(b, preserve_index=False)
+
+
 def _dist(ax, ay, bx, by):
     dx = ax - bx
     dy = ay - by
@@ -49,6 +54,27 @@ def _dist_l1(ax, ay, bx, by):
 
 
 _METRICS = {"euclidean": _dist, "manhattan": _dist_l1}
+
+
+def _row_topk(d: np.ndarray, ids: np.ndarray, kk: int) -> np.ndarray:
+    """Column indices of each row's ``kk`` smallest entries of ``d`` by
+    (distance, id): exactly ``np.lexsort((ids, d), axis=1)[:, :kk]``.
+
+    A partition finds each row's k-th distance; every entry ``<= kth``
+    stays in, so all ties at the boundary do, and one lexsort of those
+    few entries by (row, distance, id) orders them.  ``np.nonzero``
+    keeps column order and lexsort is stable, so equal (distance, id)
+    pairs keep the full sort's order too.  A row whose k-th distance is
+    NaN (NaN coordinates) keeps all its entries; lexsort puts NaNs last
+    and orders them by id, as the full sort does."""
+    nq = d.shape[0]
+    kth = np.partition(d, kk - 1, axis=1)[:, kk - 1]
+    r, c = np.nonzero((d <= kth[:, None]) | np.isnan(kth)[:, None])
+    o = np.lexsort((ids[c], d[r, c], r))
+    r, c = r[o], c[o]
+    cnt = np.bincount(r, minlength=nq)
+    keep = np.arange(len(r)) - (np.cumsum(cnt) - cnt)[r] < kk
+    return c[keep].reshape(nq, kk)
 
 
 def expand_halo(
@@ -286,9 +312,16 @@ def knn_graph(
     (so ≈ all queries resolve in round 0) and ``cell_size`` to 4×halo
     (candidate duplication factor (1+2·halo/cell)² ≈ 2.25 — NOT the 9×
     of a full one-ring).  Unresolved queries (sparse regions, borders)
-    retry with doubled halo against candidates PRE-FILTERED to the
-    unresolved cells (broadcast cell set), so later rounds cost ~0.
-    The final round is a single global group.
+    go to one exact broadcast round (``_knn_broadcast``: every query
+    against the whole candidate stream) as soon as there are no more
+    of them than one round-0 cell is expected to hold — its nq·n
+    distances then cost no more than round 0's kernel.  Until then
+    they retry in tiled rounds with doubled halo, against candidates
+    pre-filtered to the cells around them; each such round costs a
+    full pass over the candidates.  The broadcast round also ends the
+    escalation once the halo spans the extent or at ``max_rounds``.
+    Each query row keeps its k smallest (distance, id) entries via a
+    partition plus a sort of the entries that tie at the k-th.
 
     Output rows: (src, dst, distance), exactly min(k, n-1) per src,
     ties broken by (distance, dst id).
@@ -311,7 +344,8 @@ def knn_graph(
     hw = min(float(halo), cs)  # duplication width can't exceed the cell
 
     def tiled_round(queries, cs, hw, prefilter):
-        """One tiled pass: returns (resolved edges ds, unresolved points ds)."""
+        """One tiled pass: returns (resolved edges ds, unresolved points
+        DataFrame on the driver)."""
         def q_tag(batch: pd.DataFrame, cs=cs) -> pd.DataFrame:
             out = batch[["id", "x", "y"]].copy()
             out["cell"] = cells.cell_id(out["x"].to_numpy(),
@@ -419,12 +453,9 @@ def knn_graph(
                         "distance": np.inf, "resolved": False,
                         "qx": qx[lo:hi], "qy": qy[lo:hi]}))
                     continue
-                # full-row lexsort by (distance, id): argpartition is
-                # NOT tie-stable at the k-th boundary (L1 lattice
-                # distances tie constantly) — exactness over micro-opt
-                order = np.lexsort((np.broadcast_to(cid_w, d.shape), d),
-                                   axis=1)[:, :kk]
-                sel = order
+                # by (distance, id), ties at the k-th boundary included
+                # (L1 lattice distances tie constantly)
+                sel = _row_topk(d, cid_w, kk)
                 rows = np.repeat(np.arange(nq), kk)
                 dsel = d[rows, sel.ravel()]
                 kth = dsel.reshape(nq, kk)[:, -1]
@@ -457,22 +488,26 @@ def knn_graph(
             lambda b: pd.DataFrame({"id": b["src"], "x": b["qx"], "y": b["qy"]}),
             batch_format="pandas")
         # unresolved remainder is small: driver-side dedup beats a shuffle
-        udf = unresolved.to_pandas().drop_duplicates("id")
-        nxt = ray.data.from_pandas(udf) if len(udf) else None
-        return resolved, nxt
+        return resolved, unresolved.to_pandas().drop_duplicates("id")
 
+    few = False
     for rnd in range(max_rounds):
-        if rnd == max_rounds - 1 or hw >= extent:
-            # FINAL: broadcast the (by now small) query set over the full
-            # candidate stream; per-block top-k partials, exact merge.
+        if rnd == max_rounds - 1 or hw >= extent or few:
+            # FINAL: broadcast the query set over the full candidate
+            # stream; per-block top-k partials, exact merge.
             edge_parts.append(_knn_broadcast(queries, cand, k, bipartite,
                                              metric=metric))
             break
-        resolved, nxt = tiled_round(queries, cs, hw, prefilter=rnd > 0)
+        resolved, udf = tiled_round(queries, cs, hw, prefilter=rnd > 0)
         edge_parts.append(resolved)
-        if nxt is None:
+        if udf.empty:
             break
-        queries = nxt
+        queries = ray.data.from_pandas(udf)
+        # no more queries than one round-0 cell holds: the broadcast's
+        # nq·n distances cost no more than round 0's kernel did.  The
+        # dominant extent² over-states the area, so a degenerate axis
+        # errs towards the tiled rounds.
+        few = len(udf) * extent ** 2 <= n * float(cell_size) ** 2
         hw *= 2.0
         cs = max(cs, 2.0 * hw)
 
@@ -488,13 +523,15 @@ def _union_all(parts: list[ray.data.Dataset]) -> ray.data.Dataset:
 
 def _knn_broadcast(queries: ray.data.Dataset, cand: ray.data.Dataset, k: int,
                    bipartite: bool, metric: str = "euclidean") -> ray.data.Dataset:
-    """Exact kNN for a broadcast query set: per-candidate-block top-k
-    partials (map_batches over the streaming candidate side) merged by
-    a per-query top-k shuffle.  The fallback final round of knn_graph —
-    and a fine standalone strategy when |queries| ≪ |candidates|."""
+    """Exact kNN for a query set small enough to broadcast: per-candidate-
+    block top-k partials (map_batches over the streaming candidate side)
+    merged by a per-query top-k shuffle.  knn_graph's final round, taken
+    once the unresolved queries fit in one cell (or the rounds run out):
+    its nq·n distances then cost no more than round 0's kernel.  Emits
+    Arrow blocks, like the tiled rounds it is unioned with."""
     qdf = queries.select_columns(["id", "x", "y"]).to_pandas()
     if qdf.empty:
-        return ray.data.from_pandas(_empty_edges())
+        return ray.data.from_arrow(_to_arrow(_empty_edges()))
 
     dist = _METRICS[metric]
 
@@ -513,9 +550,7 @@ def _knn_broadcast(queries: ray.data.Dataset, cand: ray.data.Dataset, k: int,
             kk = min(k, d.shape[1])
             if kk <= 0:
                 continue
-            # tie-exact: full lexsort by (distance, id)
-            sel = np.lexsort((np.broadcast_to(cid, d.shape), d),
-                             axis=1)[:, :kk]
+            sel = _row_topk(d, cid, kk)
             rows = np.repeat(np.arange(nq), kk)
             dsel = d[rows, sel.ravel()]
             keep = np.isfinite(dsel)  # self-only blocks emit nothing
@@ -526,8 +561,9 @@ def _knn_broadcast(queries: ray.data.Dataset, cand: ray.data.Dataset, k: int,
 
     partials = broadcast_map(cand, (qdf["id"].to_numpy(), qdf["x"].to_numpy(),
                                     qdf["y"].to_numpy()), block_topk)
-    return shuffle.topk_in_group(partials, ["src"], k,
-                                 ["distance", "dst"], [True, True])
+    merged = shuffle.topk_in_group(partials, ["src"], k,
+                                   ["distance", "dst"], [True, True])
+    return merged.map_batches(_to_arrow, batch_format="pandas")
 
 
 # ------------------------------------------------------------------ Delaunay family
@@ -753,7 +789,6 @@ def _lune_filter_tiled(points: ray.data.Dataset, edges: ray.data.Dataset,
     edges with zero witnesses anywhere survive.  Long edges replicate
     to more cells; they are O(hull) few in a Delaunay candidate set
     (the documented partitioning assumption)."""
-    import pyarrow as pa
     from city2graph_ray.joins import bucketed_join
 
     cs = cell_size or _auto_cell_size(points, per_cell=4096.0)
@@ -967,7 +1002,6 @@ def _joined_endpoint_coords(edges: ray.data.Dataset,
     """Attach (ux, uy, vx, vy) endpoint coords to an edge stream with
     two bucketed hash joins (the edge stream is what moves; no point
     table broadcast)."""
-    import pyarrow as pa
     from city2graph_ray.joins import bucketed_join
 
     def rn(kc, xc, yc):
@@ -1020,7 +1054,6 @@ def attach_node_attrs(edges: ray.data.Dataset, nodes: ray.data.Dataset,
     gdf columns on both endpoints, proximity.py:300-340): each attr in
     ``attrs`` joins in as ``{endpoint}_{attr}`` via bucketed hash joins
     keyed on the endpoint id columns."""
-    import pyarrow as pa
     from city2graph_ray.joins import bucketed_join
 
     out = edges
@@ -1346,8 +1379,6 @@ def ungrouped_nodes(polygons: ray.data.Dataset, points: ray.data.Dataset,
     point ids (8 B rows), and one bucketed LEFT join + null filter
     keeps the complement — the polygon set is never broadcast and the
     point payload shuffles once."""
-    import pyarrow as pa
-
     from city2graph_ray.joins import bucketed_join
 
     matched = group_nodes(polygons, points)

@@ -365,3 +365,104 @@ def test_duplicate_edges_reverse_rows_completeness(pts):
         assert len(dup) == 2 * len(base)
         assert set(map(tuple, dup[["src", "dst"]].to_numpy())) \
             == pairs | {(v, u) for u, v in pairs}
+
+
+def _brute_knn(df: pd.DataFrame, k: int, metric: str = "euclidean") -> pd.DataFrame:
+    """Every point's k nearest others, sorted by (distance, dst id)."""
+    from city2graph_ray.ops.proximity import _METRICS
+    x = df["x"].to_numpy()
+    y = df["y"].to_numpy()
+    ids = df["id"].to_numpy()
+    d = _METRICS[metric](x[:, None], y[:, None], x[None, :], y[None, :])
+    np.fill_diagonal(d, np.inf)
+    sel = np.lexsort((np.broadcast_to(ids, d.shape), d), axis=1)[:, :k]
+    rows = np.repeat(np.arange(len(df)), k)
+    return _sorted(pd.DataFrame({"src": ids[rows], "dst": ids[sel.ravel()],
+                                 "distance": d[rows, sel.ravel()]}))
+
+
+def _uniform_with_outliers(n_out: int) -> pd.DataFrame:
+    rng = np.random.default_rng(0)
+    x = np.r_[rng.uniform(0, 100, 2000), [1e4, -1e4, 5e3][:n_out]]
+    y = np.r_[rng.uniform(0, 100, 2000), [1e4, 3e3, -1e4][:n_out]]
+    return pd.DataFrame({"id": np.arange(len(x), dtype=np.int64),
+                         "x": x, "y": y})
+
+
+@pytest.fixture
+def topk_stages(monkeypatch):
+    """Names of the per-batch functions knn_graph broadcasts:
+    ``near_q`` is a prefiltered tiled round, ``block_topk`` the
+    broadcast round."""
+    from city2graph_ray.ops import proximity
+    names = []
+    real = proximity.broadcast_map
+
+    def spy(ds, state, fn, *a, **kw):
+        names.append(fn.__name__)
+        return real(ds, state, fn, *a, **kw)
+
+    monkeypatch.setattr(proximity, "broadcast_map", spy)
+    return names
+
+
+def test_knn_broadcast_output_repartitions():
+    """The broadcast round's blocks are Arrow like the tiled rounds',
+    so Ray's split repartition accepts the union (it raised
+    AssertionError (PANDAS, ARROW) on mixed blocks)."""
+    df = _uniform_with_outliers(3)
+    out = knn_graph(rd.from_pandas(df), 4, max_rounds=2).repartition(4)
+    pd.testing.assert_frame_equal(_sorted(out.to_pandas()),
+                                  _brute_knn(df, 4))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("max_rounds", [4, 1])
+def test_knn_lattice_ties_exact(metric, max_rounds):
+    """On an integer lattice the k-th neighbour ties under both
+    metrics; the kept neighbours are the first k by (distance, dst),
+    on the tiled path (default) and on the broadcast path
+    (max_rounds=1)."""
+    gx, gy = np.meshgrid(np.arange(20.0), np.arange(20.0))
+    ids = np.random.default_rng(3).permutation(400).astype(np.int64)
+    df = pd.DataFrame({"id": ids, "x": gx.ravel(), "y": gy.ravel()})
+    for k in (3, 6):
+        got = _sorted(knn_graph(rd.from_pandas(df), k, metric=metric,
+                                max_rounds=max_rounds).to_pandas())
+        pd.testing.assert_frame_equal(got, _brute_knn(df, k, metric))
+
+
+def test_knn_few_unresolved_go_to_broadcast(topk_stages):
+    """Three far outliers stay unresolved after round 0; they fit in
+    one cell, so the broadcast round runs next, with no tiled
+    escalation round."""
+    df = _uniform_with_outliers(3)
+    got = _sorted(knn_graph(rd.from_pandas(df), 4).to_pandas())
+    pd.testing.assert_frame_equal(got, _brute_knn(df, 4))
+    assert topk_stages == ["block_topk"]
+
+
+def test_knn_many_unresolved_escalate(topk_stages):
+    """A small explicit halo and cell leave most queries unresolved,
+    more than a cell holds, so the tiled rounds escalate."""
+    df = _uniform_with_outliers(0)
+    got = _sorted(knn_graph(rd.from_pandas(df), 4, halo=1.0,
+                            cell_size=4.0).to_pandas())
+    pd.testing.assert_frame_equal(got, _brute_knn(df, 4))
+    assert "near_q" in topk_stages
+
+
+def test_row_topk_equals_full_lexsort():
+    """The partition kernel returns the prefix of the full row lexsort
+    by (distance, id): on integer distances full of ties, with repeated
+    ids, and with NaN rows (kept in the full sort's order) and infs."""
+    from city2graph_ray.ops.proximity import _row_topk
+    rng = np.random.default_rng(5)
+    for t in range(300):
+        nq, m = rng.integers(1, 30), rng.integers(1, 40)
+        d = rng.integers(0, 4, (nq, m)).astype(float)
+        d[rng.uniform(size=d.shape) < 0.1 * (t % 3)] = (np.nan, np.inf)[t % 2]
+        ids = rng.integers(0, 8 if t % 2 else 1000, m)
+        for kk in range(1, m + 1):
+            exp = np.lexsort((np.broadcast_to(ids, d.shape), d), axis=1)[:, :kk]
+            np.testing.assert_array_equal(_row_topk(d, ids, kk), exp)
