@@ -1343,8 +1343,8 @@ def _tpch_q1(sf_dir: str):
             "avg_qty": [round(g["sum_qty"].sum() / n, 4)],
             "count_order": [np.int64(n)]})
 
-    return partials.groupby(["l_returnflag", "l_linestatus"]).map_groups(
-        final, batch_format="pandas")
+    from city2graph_ray.exchange import keyed_exchange
+    return keyed_exchange(partials, ["l_returnflag", "l_linestatus"], final)
 
 
 def _od_flows(sf_dir: str):

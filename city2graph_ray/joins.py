@@ -6,10 +6,11 @@ Two strategies, chosen explicitly by the caller (SURVEY.md §2.4):
   merged per batch by :func:`broadcast_map` (no shuffle).
   This is the engine's default for dimension-table lookups (stops
   geometry, zone-id sets, node-id maps after dedup).
-- ``bucketed_join`` — both sides large: add ``__bucket = hash(key) % B``
-  to each side, tag provenance, union, ``groupby(__bucket)`` and merge
-  the two sides per bucket in ``map_groups``.  An explicit partitioned
-  hash join; B and hot-key salting are the caller's knobs.
+- ``bucketed_join`` — both sides large: tag each side's provenance,
+  union, hash-partition on the key (``exchange.keyed_exchange``) and
+  merge the two sides once per partition.  An explicit partitioned
+  hash join; the partition cap B and hot-key salting are the caller's
+  knobs.
 
 ``ray.data.Dataset.join`` exists in newer releases; the explicit forms
 here keep the shuffle strategy visible and version-independent.
@@ -28,6 +29,8 @@ import pandas as pd
 import ray
 import ray.data
 from ray import cloudpickle
+
+from city2graph_ray.exchange import keyed_exchange
 
 
 # Per-worker memo of prepared broadcast states, keyed by (object-ref id,
@@ -151,8 +154,9 @@ def bucketed_join(
 ) -> ray.data.Dataset:
     """Partitioned hash join of two large Datasets on equality key(s).
 
-    Both sides get ``__bucket = hash(key) % B``; the union is grouped by
-    bucket and each group merged with pandas.  One shuffle total.
+    The union of both sides is hash-partitioned on the key into at most
+    ``num_buckets`` partitions, and each partition's two sides are
+    merged with pandas.  One shuffle total.
 
     The padded union stays in Arrow end-to-end: missing columns are
     ``pa.nulls(n, typed)`` so int64 ids survive the exchange, and each
@@ -170,20 +174,6 @@ def bucketed_join(
     import pyarrow as pa
 
     keys = [on] if isinstance(on, str) else list(on)
-
-    def _hash_key(t: pa.Table) -> np.ndarray:
-        h = np.zeros(t.num_rows, dtype=np.uint64)
-        for k in keys:
-            col = t.column(k)
-            if pa.types.is_integer(col.type):
-                v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-                v = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-            else:
-                v = pd.util.hash_array(
-                    np.asarray(col.to_pandas()), categorize=False
-                ).astype(np.uint64)
-            h = h * np.uint64(1099511628211) ^ v
-        return (h % np.uint64(num_buckets)).astype(np.int64)
 
     def _arrow_types(schema) -> dict[str, pa.DataType]:
         out = {}
@@ -226,37 +216,23 @@ def bucketed_join(
     types = _arrow_types(rschema)
     types.update(_arrow_types(lschema))
 
-    def _pad(n: int, typ: pa.DataType) -> pa.Array:
-        # Pad with ZEROS, not nulls, for pandas-lossy types: Ray's
-        # groupby/sort exchange may roundtrip blocks through pandas,
-        # where int64-with-nulls promotes to float64 — silently
-        # rounding values above 2^53 (packed cell ids!).  The padded
-        # values are never read (_merge splits by __side and selects
-        # each side's real columns first), so any valid value works.
-        if pa.types.is_integer(typ) or pa.types.is_floating(typ):
-            return pa.array(np.zeros(n, np.int64), typ)
-        if pa.types.is_boolean(typ):
-            return pa.array(np.zeros(n, bool), typ)
-        return pa.nulls(n, typ)
-
     def _tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
             arrays = [
                 t.column(c).cast(types[c]) if c in t.column_names
-                else _pad(t.num_rows, types[c])
+                else pa.nulls(t.num_rows, types[c])
                 for c in pad_cols
             ]
-            arrays.append(pa.array(_hash_key(t), pa.int64()))
             arrays.append(pa.array(np.full(t.num_rows, side, np.int8)))
-            return pa.Table.from_arrays(arrays, pad_cols + ["__bucket", "__side"])
+            return pa.Table.from_arrays(arrays, pad_cols + ["__side"])
         return fn
 
     tagged = left.map_batches(_tag(0), batch_format="pyarrow").union(
         right.map_batches(_tag(1), batch_format="pyarrow"))
 
-    # deterministic output schema (stable across groups — empty groups
-    # and pandas' int→float promotion on non-inner joins otherwise make
-    # per-block schemas drift, which Ray's schema dedup chokes on)
+    # deterministic output schema (stable across partitions — empty
+    # ones and pandas' int→float promotion on non-inner joins otherwise
+    # make per-block schemas drift, which Ray's schema dedup chokes on)
     shared = [c for c in lcols if c in rcols and c not in keys]
     out_fields: list[tuple[str, pa.DataType]] = []
     for c in lcols:
@@ -284,9 +260,9 @@ def bucketed_join(
                   for f in out_schema]
         return pa.Table.from_arrays(arrays, schema=out_schema)
 
-    joined = tagged.groupby("__bucket").map_groups(
-        _merge, batch_format="pyarrow")
-    # schema anchor: an all-empty input produces zero groups, which
+    joined = keyed_exchange(tagged, keys, _merge, per_group=False,
+                            batch_format="pyarrow", num_buckets=num_buckets)
+    # schema anchor: an empty input never reaches the kernel, which
     # leaves the result with no derivable schema and breaks any further
     # join/union over it; one empty typed block keeps it schema-stable
     return joined.union(ray.data.from_arrow(out_schema.empty_table()))

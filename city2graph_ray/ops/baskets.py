@@ -48,11 +48,8 @@ def association_rules(ds: ray.data.Dataset, basket_col: str,
         return pd.DataFrame({"item_a": a[keep], "item_b": b[keep],
                              "supp_ab": np.ones(int(keep.sum()), np.int64)})
 
-    bucketed = shuffle._bucketize(pairs_src, [basket_col],
-                                  shuffle.DEFAULT_BUCKETS)
     pair_counts = shuffle.group_agg(
-        bucketed.groupby("__bucket").map_groups(
-            shuffle._debucket(emit_pairs), batch_format="pandas"),
+        shuffle.grouped_transform(pairs_src, [basket_col], emit_pairs),
         ["item_a", "item_b"], {"supp_ab": ("supp_ab", "sum")},
         num_buckets=1).to_pandas()
 

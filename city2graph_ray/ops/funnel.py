@@ -63,11 +63,10 @@ def funnel(events: ray.data.Dataset, steps: list[str],
                                                    dtype=np.int64),
                              "n_users": out})
 
-    parts = shuffle._bucketize(
+    parts = shuffle.grouped_transform(
         events.map_batches(lambda b: b[[key, ts_col, type_col]],
                            batch_format="pandas"),
-        [key], num_buckets).groupby("__bucket").map_groups(
-        shuffle._debucket(kernel), batch_format="pandas")
+        [key], kernel, num_buckets=num_buckets)
     pdf = parts.to_pandas()
     if pdf.empty:  # 0-row stream: no bucket groups at all
         pdf = pd.DataFrame({"step_idx": pd.Series([], dtype=np.int64),

@@ -705,9 +705,8 @@ def adamic_adar(edges: ray.data.Dataset, src: str = "src",
         return pd.DataFrame({"x": vv[i_idx], "y": vv[j_idx],
                              "wt": ww[i_idx]})
 
-    pairs = shuffle._bucketize(centers, ["u"], num_buckets).groupby(
-        "__bucket").map_groups(shuffle._debucket(wedge_pairs),
-                               batch_format="pandas")
+    pairs = shuffle.grouped_transform(centers, ["u"], wedge_pairs,
+                                      num_buckets=num_buckets)
 
     scores = shuffle.group_agg(pairs, ["x", "y"], {"s": ("wt", "sum")},
                                num_buckets=num_buckets)
@@ -777,9 +776,8 @@ def cooccurrence_graph(table: ray.data.Dataset, key: str, item: str,
                                            reps) + 1
         return pd.DataFrame({"item_a": ii[a], "item_b": ii[a + off]})
 
-    pairs = shuffle._bucketize(di, ["k"], num_buckets).groupby(
-        "__bucket").map_groups(shuffle._debucket(pair_expand),
-                               batch_format="pandas")
+    pairs = shuffle.grouped_transform(di, ["k"], pair_expand,
+                                      num_buckets=num_buckets)
     return shuffle.group_agg(pairs, ["item_a", "item_b"],
                              {"n_keys": ("item_a", "size")},
                              num_buckets=num_buckets)

@@ -10,8 +10,8 @@ Engine re-expression (SURVEY.md §3.1 "engine shape"):
 1. barriers (street segments) → planar **enclosures** by face
    polygonization — barriers ≪ documents, computed in one task and
    broadcast (mirrors the reference computing momepy.enclosures once).
-2. buildings bucketed per enclosure → ``groupby(enclosure).map_groups``
-   **zonal tessellation**: the north star's raster↔vector form — each
+2. buildings hash-partitioned per enclosure (``exchange.keyed_exchange``)
+   → **zonal tessellation**: the north star's raster↔vector form — each
    enclosure is rasterized at ``resolution`` and every raster cell is
    assigned to its nearest building seed (a discrete Voronoi /
    morphological tessellation); emits TILE ASSIGNMENTS
@@ -40,6 +40,7 @@ import ray.data
 
 from city2graph_ray import cells as cellmod
 from city2graph_ray import shuffle
+from city2graph_ray.exchange import concat, keyed_exchange
 from city2graph_ray.geom.kernels import points_in_polygon
 from city2graph_ray.joins import broadcast_map
 
@@ -131,7 +132,9 @@ def polygonize_faces(segments: pd.DataFrame) -> list[np.ndarray]:
 
 def enclosures_from_barriers(barriers: pd.DataFrame) -> pd.DataFrame:
     """(enclosure_index, coords) for each interior face, indexed in
-    deterministic order (sorted by (minx, miny, area))."""
+    deterministic order (sorted by (minx, miny, area), ties by the mean
+    vertex: faces that share a corner and a bbox area, as the two
+    triangles of a diagonal do)."""
     faces = polygonize_faces(barriers)
     if not faces:
         return pd.DataFrame({"enclosure_index": pd.Series(dtype=np.int64),
@@ -140,7 +143,8 @@ def enclosures_from_barriers(barriers: pd.DataFrame) -> pd.DataFrame:
     keys = []
     for f, _ in faces:
         c = f.reshape(-1, 2)
-        keys.append((c[:, 0].min(), c[:, 1].min(), c[:, 0].ptp() * c[:, 1].ptp()))
+        keys.append((c[:, 0].min(), c[:, 1].min(), c[:, 0].ptp() * c[:, 1].ptp(),
+                     c[:, 0].mean(), c[:, 1].mean()))
     order = sorted(range(len(faces)), key=lambda i: keys[i])
     return pd.DataFrame({
         "enclosure_index": np.arange(len(faces), dtype=np.int64),
@@ -168,7 +172,7 @@ def polygonize_faces_dataset(segments: ray.data.Dataset) -> ray.data.Dataset:
        grouped kernel (per-face work ∝ ring length).
 
     Output: one row per interior face — (coords ring, seg_ids, minx,
-    miny, extkey).  Ring rotation (start vertex) is deterministic (min
+    miny, extkey, mx, my).  Ring rotation (start vertex) is deterministic (min
     edge id) but differs from :func:`polygonize_faces`'s insertion
     order; all downstream consumers (PIP, areas, sort keys) are
     rotation-invariant."""
@@ -294,13 +298,17 @@ def polygonize_faces_dataset(segments: ray.data.Dataset) -> ray.data.Dataset:
                          "seg_ids": np.unique(sids),
                          "minx": float(rc[:, 0].min()),
                          "miny": float(rc[:, 1].min()),
-                         "extkey": float(rc[:, 0].ptp() * rc[:, 1].ptp())})
+                         "extkey": float(rc[:, 0].ptp() * rc[:, 1].ptp()),
+                         "mx": float(rc[:, 0].mean()),
+                         "my": float(rc[:, 1].mean())})
         if not rows:
             return pd.DataFrame({"coords": pd.Series(dtype=object),
                                  "seg_ids": pd.Series(dtype=object),
                                  "minx": pd.Series(dtype=np.float64),
                                  "miny": pd.Series(dtype=np.float64),
-                                 "extkey": pd.Series(dtype=np.float64)})
+                                 "extkey": pd.Series(dtype=np.float64),
+                                 "mx": pd.Series(dtype=np.float64),
+                                 "my": pd.Series(dtype=np.float64)})
         return pd.DataFrame(rows)
 
     return shuffle.grouped_transform(labeled, ["face"], chain_kernel)
@@ -308,8 +316,9 @@ def polygonize_faces_dataset(segments: ray.data.Dataset) -> ray.data.Dataset:
 
 @ray.remote
 def _assemble_enclosures(*tables) -> pd.DataFrame:
-    """Face rows → the deterministic enclosure table (sorted by
-    (minx, miny, extent), dense enclosure_index) — runs in a task."""
+    """Face rows → the deterministic enclosure table (sorted as
+    :func:`enclosures_from_barriers` sorts, dense enclosure_index) —
+    runs in a task."""
     import pyarrow as pa
     dfs = [t.to_pandas() for t in tables if t.num_rows]
     if not dfs:
@@ -317,7 +326,7 @@ def _assemble_enclosures(*tables) -> pd.DataFrame:
                              "coords": pd.Series(dtype=object),
                              "seg_ids": pd.Series(dtype=object)})
     df = (pd.concat(dfs, ignore_index=True)
-          .sort_values(["minx", "miny", "extkey"], kind="stable")
+          .sort_values(["minx", "miny", "extkey", "mx", "my"], kind="stable")
           .reset_index(drop=True))
     return pd.DataFrame({
         "enclosure_index": np.arange(len(df), dtype=np.int64),
@@ -329,9 +338,7 @@ def _assemble_enclosures(*tables) -> pd.DataFrame:
 def _enclosures_task(*tables) -> pd.DataFrame:
     """Single-task polygonization: the barrier blocks are fetched from
     the object store INSIDE this task — the driver only ships refs."""
-    import pyarrow as pa
-    df = pa.concat_tables(list(tables)).to_pandas()
-    return enclosures_from_barriers(df)
+    return enclosures_from_barriers(concat(tables).to_pandas())
 
 
 @ray.remote
@@ -554,8 +561,7 @@ def assign_buildings_to_enclosures(buildings: ray.data.Dataset,
         hit = idx != -1
         return pd.DataFrame({"__jid": pids[hit], "enclosure_index": idx[hit]})
 
-    matches = (enc_cells.union(pts).groupby("cell")
-               .map_groups(refine, batch_format="pandas"))
+    matches = keyed_exchange(enc_cells.union(pts), ["cell"], refine)
     # join on the validated int64 __jid on BOTH sides so float-typed
     # (but integral) building id columns still match
     joined = bucketed_join(
@@ -640,8 +646,7 @@ def zonal_tessellation(buildings: ray.data.Dataset, enclosures,
             "bldg_id": bids[seed],
             "area": np.full(len(cx), resolution * resolution)})
 
-    return tagged.groupby("enclosure_index").map_groups(tess,
-                                                        batch_format="pandas")
+    return keyed_exchange(tagged, ["enclosure_index"], tess)
 
 
 _COARSE_GRID_SIZE = 1e-3   # reference utils/spatial.py:51
@@ -705,7 +710,7 @@ def enclosed_tessellation(buildings: ray.data.Dataset,
     Distribution: buildings are tagged with their enclosure (broadcast
     PIP), the enclosure ring rides into the same group as an extra
     tagged row (no per-building ring duplication, no driver loop), and
-    each enclosure tessellates independently in ``map_groups`` —
+    each enclosure tessellates independently in its own kernel call —
     resumable per enclosure, skew bounded by buildings-per-enclosure.
 
     Output: one row per cell — (enclosure_index, bldg_id, tess_id,
@@ -851,8 +856,7 @@ def enclosed_tessellation(buildings: ray.data.Dataset,
         # _repair_or_drop_degenerate_enclosures terminal branch)
         return empty()
 
-    return combined.groupby("enclosure_index").map_groups(
-        tess, batch_format="pandas")
+    return keyed_exchange(combined, ["enclosure_index"], tess)
 
 
 def place_to_place_edges(assignments: ray.data.Dataset) -> ray.data.Dataset:
@@ -969,7 +973,7 @@ def nearest_segments(points: ray.data.Dataset, segments: ray.data.Dataset,
                                  "distance": pd.Series(dtype=np.float64)})
         return pd.concat(out_rows)
 
-    cand = s2.union(p2).groupby("cell").map_groups(kernel, batch_format="pandas")
+    cand = keyed_exchange(s2.union(p2), ["cell"], kernel)
     return shuffle.topk_in_group(cand, ["id"], k,
                                  ["distance", "seg_id"], [True, True])
 
@@ -1098,10 +1102,8 @@ def filter_points_by_network_reach(points: ray.data.Dataset,
             ok[np.nonzero(todo)[0][best]] = True
         return pd.DataFrame({"id": ps["id"].to_numpy()[ok]})
 
-    keep = shuffle.distinct(
-        s2.union(p2).groupby("cell").map_groups(kernel,
-                                                batch_format="pandas"),
-        ["id"])
+    keep = shuffle.distinct(keyed_exchange(s2.union(p2), ["cell"], kernel),
+                            ["id"])
     kept_ids = keep.to_pandas()
     from city2graph_ray.joins import semi_filter
     ids = set(kept_ids["id"]) if "id" in kept_ids.columns else set()

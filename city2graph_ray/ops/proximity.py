@@ -7,8 +7,9 @@ Gabriel ``:985-1081``, relative-neighborhood ``:1084-1184``, EMST
 bridge_nodes ``:1609-1827``, group_nodes ``:1830-1965``) as streaming
 cell-bucketed pipelines:
 
-    points → halo-expanded cell assignment (map_batches)
-           → groupby(cell).map_groups(per-tile kernel)
+    points → halo-expanded cell assignment, hash partition by cell
+             (one map task per block, city2graph_ray.exchange)
+           → per-tile kernel (one reduce task per partition)
            → union / dedup shuffles
 
 Input contract: a points Dataset has ``id`` (int64), ``x``, ``y``
@@ -29,6 +30,7 @@ import ray
 import ray.data
 
 from city2graph_ray import cells, shuffle
+from city2graph_ray.exchange import keyed_exchange
 from city2graph_ray.geom.delaunay import delaunay_edges
 from city2graph_ray.joins import broadcast_map
 
@@ -77,23 +79,6 @@ def _row_topk(d: np.ndarray, ids: np.ndarray, kk: int) -> np.ndarray:
     return c[keep].reshape(nq, kk)
 
 
-def expand_halo(
-    ds: ray.data.Dataset, cell_size: float, halo: float, extra_cols: tuple[str, ...] = ()
-) -> ray.data.Dataset:
-    """Assign each point to its home cell plus neighbor cells within
-    ``halo`` of it (duplicated rows flagged ``is_halo``)."""
-
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        rows, cell, is_halo = cells.halo_assignments(
-            batch["x"].to_numpy(), batch["y"].to_numpy(), cell_size, halo)
-        out = batch.iloc[rows][["id", "x", "y", *extra_cols]].reset_index(drop=True)
-        out["cell"] = cell
-        out["is_halo"] = is_halo
-        return out
-
-    return ds.map_batches(fn, batch_format="pandas")
-
-
 def _bbox_count(points: ray.data.Dataset) -> tuple[int, float, float, float, float]:
     from ray.data.aggregate import Count, Max, Min
     row = points.aggregate(Count(), Min("x"), Max("x"), Min("y"), Max("y"))
@@ -102,17 +87,6 @@ def _bbox_count(points: ray.data.Dataset) -> tuple[int, float, float, float, flo
         # downstream arithmetic finite and the pipelines empty-safe
         return (0, 0.0, 0.0, 0.0, 0.0)
     return (row["count()"], row["min(x)"], row["max(x)"], row["min(y)"], row["max(y)"])
-
-
-def _shuffle_blocks() -> int:
-    """Target block count for cell-keyed groupbys: ~1× cluster CPUs.
-    Ray's sort shuffle cost grows with input block count (sample +
-    partition per block); unioned halo pipelines otherwise end up with
-    2-4× more tiny blocks than cores."""
-    try:
-        return max(8, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return 32
 
 
 def _auto_cell_size(points: ray.data.Dataset, per_cell: float) -> float:
@@ -141,7 +115,6 @@ def fixed_radius_graph(
     metric: str = "euclidean",
     auto_skew: bool = False,
     hot_cell_threshold: int = 20000,
-    strategy: str = "exchange",
 ) -> ray.data.Dataset:
     """All pairs within ``radius`` (reference proximity.py:1303-1437).
 
@@ -178,6 +151,7 @@ def fixed_radius_graph(
             max_n = max_n // 3  # conservative estimate; exact re-count
             # is unnecessary — correctness holds for any cs ≥ radius
     dist = _METRICS[metric]  # halo=radius stays valid: L1 ≥ L∞ ≥ axis gap
+    from city2graph_ray.exchange import cell_halo_exchange
 
     if targets is None:
         euclid = metric == "euclidean"
@@ -247,18 +221,7 @@ def fixed_radius_graph(
                         "distance": dvals[sel][keep]}))
             return pd.concat(out) if out else _empty_edges()
 
-        if strategy == "exchange":
-            # fused map/reduce hash exchange (city2graph_ray.exchange):
-            # measured ×1.5-2 over the Dataset sort shuffle, identical
-            # output (tests cross-check both strategies)
-            from city2graph_ray.exchange import cell_halo_exchange
-            return cell_halo_exchange(
-                points.map_batches(lambda b: b[["id", "x", "y"]],
-                                   batch_format="pandas"),
-                cs, radius, kernel, per_cell=False)
-        expanded = expand_halo(points, cs, radius).repartition(_shuffle_blocks())
-        # the multi-cell kernel is also valid on a single cell's rows
-        return expanded.groupby("cell").map_groups(kernel, batch_format="pandas")
+        return cell_halo_exchange(points, cs, radius, kernel, per_cell=False)
 
     # bipartite / directed: queries = points (home cell only), candidates = targets (+halo)
     def tag(flag):
@@ -270,8 +233,6 @@ def fixed_radius_graph(
 
     qs = points.map_batches(tag(True), batch_format="pandas")
     ts = targets.map_batches(tag(False), batch_format="pandas")
-    expanded = expand_halo(qs.union(ts), cs, radius,
-                           extra_cols=("is_query",)).repartition(_shuffle_blocks())
 
     def bikernel(g: pd.DataFrame) -> pd.DataFrame:
         q = g[g["is_query"] & ~g["is_halo"]]
@@ -285,7 +246,8 @@ def fixed_radius_graph(
                              "dst": c["id"].to_numpy()[jj],
                              "distance": d[ii, jj]})
 
-    return expanded.groupby("cell").map_groups(bikernel, batch_format="pandas")
+    return cell_halo_exchange(qs.union(ts), cs, radius, bikernel,
+                              extra_cols=("is_query",))
 
 
 # ------------------------------------------------------------------ kNN
@@ -298,7 +260,6 @@ def knn_graph(
     targets: ray.data.Dataset | None = None,
     max_rounds: int = 4,
     metric: str = "euclidean",
-    strategy: str = "exchange",
 ) -> ray.data.Dataset:
     """Directed k-nearest-neighbors (reference proximity.py:771-887;
     self excluded; undirected view = canonicalize_edges downstream,
@@ -346,20 +307,10 @@ def knn_graph(
     def tiled_round(queries, cs, hw, prefilter):
         """One tiled pass: returns (resolved edges ds, unresolved points
         DataFrame on the driver)."""
-        def q_tag(batch: pd.DataFrame, cs=cs) -> pd.DataFrame:
-            out = batch[["id", "x", "y"]].copy()
-            out["cell"] = cells.cell_id(out["x"].to_numpy(),
-                                        out["y"].to_numpy(), cs)
-            out["is_query"] = True
-            out["is_halo"] = False
-            return out
-
         # unipartite round 0: every point is both query and candidate —
         # the non-halo candidate rows ARE the queries, so the separate
         # query side is skipped entirely (~30% less shuffle volume)
         implicit_queries = not bipartite and not prefilter
-        qs = (None if implicit_queries
-              else queries.map_batches(q_tag, batch_format="pandas"))
         ts = cand.map_batches(
             lambda b: b[["id", "x", "y"]].assign(is_query=False),
             batch_format="pandas")
@@ -384,17 +335,6 @@ def knn_graph(
             ts = broadcast_map(ts, np.fromiter(ring, np.int64, len(ring)),
                                near_q)
 
-        both = None
-        if not (implicit_queries and strategy == "exchange"):
-            cols = ["id", "x", "y", "is_query", "cell", "is_halo"]
-            tc = expand_halo(ts, cs, hw, extra_cols=("is_query",)).map_batches(
-                lambda b: b[cols], batch_format="pandas")
-            if implicit_queries:
-                both = tc
-            else:
-                qs2 = qs.map_batches(lambda b: b[cols], batch_format="pandas")
-                both = qs2.union(tc)
-
         def _round_empty() -> pd.DataFrame:
             return pd.DataFrame({"src": pd.Series(dtype=np.int64),
                                  "dst": pd.Series(dtype=np.int64),
@@ -409,7 +349,9 @@ def knn_graph(
                 q = g[~g["is_halo"]]
                 c = g
             else:
-                q = g[g["is_query"]]
+                # the exchange copies queries into halo cells too; a
+                # query is answered in its home cell only
+                q = g[g["is_query"] & ~g["is_halo"]]
                 c = g[~g["is_query"]]
             if len(q) == 0:
                 return _round_empty()
@@ -469,18 +411,15 @@ def knn_graph(
                 return _round_empty()
             return pd.concat(outs)
 
-        if implicit_queries and strategy == "exchange":
-            # round-0 unipartite: fused map/reduce exchange (see
-            # city2graph_ray.exchange) — same kernel, same output
-            from city2graph_ray.exchange import cell_halo_exchange
-            result = cell_halo_exchange(
-                cand.map_batches(lambda b: b[["id", "x", "y"]],
-                                 batch_format="pandas"),
-                cs, hw, kernel)
+        from city2graph_ray.exchange import cell_halo_exchange
+        if implicit_queries:
+            result = cell_halo_exchange(ts, cs, hw, kernel)
         else:
-            result = (both.repartition(_shuffle_blocks())
-                      .groupby("cell").map_groups(kernel,
-                                                  batch_format="pandas"))
+            qs = queries.map_batches(
+                lambda b: b[["id", "x", "y"]].assign(is_query=True),
+                batch_format="pandas")
+            result = cell_halo_exchange(qs.union(ts), cs, hw, kernel,
+                                        extra_cols=("is_query",))
         result = result.materialize()
         resolved = result.filter(expr="resolved == True").drop_columns(
             ["resolved", "qx", "qy"])
@@ -650,7 +589,6 @@ def delaunay_graph(points: ray.data.Dataset, tiled: bool = False,
 
         qs = queries.map_batches(tag(True), batch_format="pandas")
         ts = points.map_batches(tag(False), batch_format="pandas")
-        expanded = expand_halo(qs.union(ts), cs, cs, extra_cols=("is_query",))
 
         def kernel(g: pd.DataFrame, cs=cs) -> pd.DataFrame:
             def empty():
@@ -731,8 +669,9 @@ def delaunay_graph(points: ray.data.Dataset, tiled: bool = False,
                                          "resolved": True, "qx": 0.0, "qy": 0.0}))
             return pd.concat(out) if out else empty()
 
-        result = expanded.groupby("cell").map_groups(kernel, batch_format="pandas")
-        result = result.materialize()
+        from city2graph_ray.exchange import cell_halo_exchange
+        result = cell_halo_exchange(qs.union(ts), cs, cs, kernel,
+                                    extra_cols=("is_query",)).materialize()
         edge_parts.append(
             result.filter(expr="resolved == True").drop_columns(["resolved", "qx", "qy"]))
         unresolved_ds = result.filter(expr="resolved == False").map_batches(
@@ -869,7 +808,7 @@ def _lune_filter_tiled(points: ray.data.Dataset, edges: ray.data.Dataset,
         return pd.DataFrame({"src": src, "dst": dst, "distance": d,
                              "witness": wit})
 
-    probe = combined.groupby("cell").map_groups(kernel, batch_format="pandas")
+    probe = keyed_exchange(combined, ["cell"], kernel)
     tot = shuffle.group_agg(probe, ["src", "dst"],
                             {"distance": ("distance", "max"),
                              "witness": ("witness", "sum")})
@@ -1240,7 +1179,7 @@ def group_nodes(polys: ray.data.Dataset, points: ray.data.Dataset,
         return pd.DataFrame({"poly_id": np.array(out_p, np.int64),
                              "point_id": np.array(out_t, np.int64)})
 
-    return pc.union(tc).groupby("cell").map_groups(refine, batch_format="pandas")
+    return keyed_exchange(pc.union(tc), ["cell"], refine)
 
 
 # ------------------------------------------------------------------ bridge_nodes

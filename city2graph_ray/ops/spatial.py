@@ -1019,13 +1019,9 @@ def knox_test(pts: ray.data.Dataset, radius: float, tau: int,
             c += int((len(own) - lo).sum())
         return pd.DataFrame({"c": [np.int64(c)]})
 
-    tb = shuffle._bucketize(scat, ["g"], shuffle.DEFAULT_BUCKETS)
-    tdf = (tb.groupby("__bucket")
-           .map_groups(shuffle._debucket(
-               lambda grp: grp.groupby("g", sort=False)
-               .apply(t_count).reset_index(drop=True)),
-               batch_format="pandas")
-           .to_pandas())
+    tdf = shuffle.grouped_transform(
+        scat, ["g"], lambda grp: grp.groupby("g", sort=False)
+        .apply(t_count).reset_index(drop=True)).to_pandas()
     t_pairs = int(tdf["c"].sum()) if "c" in tdf.columns else 0
 
     stt = s_pairs * t_pairs

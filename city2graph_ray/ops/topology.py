@@ -54,19 +54,18 @@ def dedup_coords_with_ids(
     bucketed = endpoints.map_batches(to_bucket, batch_format="pandas")
 
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.drop_duplicates(["x", "y"]).sort_values(["x", "y"], kind="stable")
-        u = u.reset_index(drop=True)
-        u["rank"] = np.arange(len(u), dtype=np.int64)
+        u = g.drop_duplicates(["bucket", "x", "y"]).sort_values(
+            ["bucket", "x", "y"], kind="stable").reset_index(drop=True)
+        u["rank"] = u.groupby("bucket", sort=False).cumcount().astype(np.int64)
         return u
 
-    uniq = bucketed.groupby("bucket").map_groups(distinct, batch_format="pandas")
+    uniq = shuffle.grouped_transform(bucketed, ["bucket"], distinct)
     uniq = uniq.materialize()
 
-    counts = uniq.groupby("bucket").count().to_pandas()
-    counts = counts.sort_values("bucket").reset_index(drop=True)
-    ccol = "count()" if "count()" in counts.columns else counts.columns[-1]
+    counts = shuffle.group_agg(uniq, ["bucket"], {"n": ("bucket", "size")})
+    counts = counts.to_pandas().sort_values("bucket").reset_index(drop=True)
     offsets = dict(zip(counts["bucket"],
-                       np.concatenate(([0], np.cumsum(counts[ccol].to_numpy())[:-1]))))
+                       np.concatenate(([0], np.cumsum(counts["n"].to_numpy())[:-1]))))
 
     def assign_ids(batch: pd.DataFrame, offsets: dict) -> pd.DataFrame:
         off = batch["bucket"].map(offsets).to_numpy(dtype=np.int64)

@@ -21,6 +21,7 @@ import pandas as pd
 import ray.data
 
 from city2graph_ray import shuffle
+from city2graph_ray.exchange import keyed_exchange
 
 
 # ------------------------------------------------------------------ generic event legs
@@ -56,7 +57,7 @@ def consecutive_legs(events: ray.data.Dataset,
             "travel_sec": np.asarray(dt.iloc[:-1], np.float64),
             "from_value": g["value"].iloc[:-1].to_numpy(np.float64)})
 
-    return events.groupby(key_col).map_groups(window, batch_format="pandas")
+    return keyed_exchange(events, [key_col], window)
 
 
 def leg_summary(events: ray.data.Dataset, round_to: int = 4) -> ray.data.Dataset:
@@ -322,7 +323,7 @@ def travel_summary_graph(
                                        "travel_time": pd.Series(dtype=np.float64),
                                        "service_count": pd.Series(dtype=np.int64)})
 
-    leg_ds = stop_times.groupby("trip_id").map_groups(legs, batch_format="pandas")
+    leg_ds = keyed_exchange(stop_times, ["trip_id"], legs)
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
         if directed:
@@ -432,7 +433,7 @@ def get_od_pairs(stop_times: ray.data.Dataset, trips: pd.DataFrame,
         out["to_stop_id"] = out["dest_stop_id"]
         return out
 
-    return stop_times.groupby("trip_id").map_groups(legs, batch_format="pandas")
+    return keyed_exchange(stop_times, ["trip_id"], legs)
 
 
 def stop_transfers(stop_times: ray.data.Dataset,
@@ -570,8 +571,7 @@ def trip_connections(stop_times: ray.data.Dataset) -> ray.data.Dataset:
             "dep_sec": d0[ok].astype(np.int64),
             "arr_sec": a1[ok].astype(np.int64)})
 
-    return stop_times.groupby("trip_id").map_groups(
-        legs, batch_format="pandas")
+    return keyed_exchange(stop_times, ["trip_id"], legs)
 
 
 def earliest_arrival(stop_times: ray.data.Dataset, source_stop: str,

@@ -19,6 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import ray.data
 
 from city2graph_ray import shuffle
@@ -78,14 +79,16 @@ def curate_documents(docs: ray.data.Dataset,
                  "__hot": np.ones(int((b["shared_grams"] > c).sum()),
                                   np.int8)}),
             batch_format="pandas")
+        # Arrow stages: an empty pandas batch of object columns makes
+        # Ray's block-size estimate log an error per column
         current = bucketed_join(current, hot, on=id_col, how="left",
                                 num_buckets=num_buckets).map_batches(
-            lambda b: b.loc[b["__hot"].isna(),
-                            [c for c in b.columns if c != "__hot"]],
-            batch_format="pandas")
+            lambda t: t.filter(pc.is_null(t["__hot"])).drop_columns(["__hot"]),
+            batch_format="pyarrow")
 
     cols = [id_col, *keep_cols]
-    return current.map_batches(lambda b: b[cols], batch_format="pandas")
+    return current.map_batches(lambda t: t.select(cols),
+                               batch_format="pyarrow")
 
 
 def curate_web_documents(docs: ray.data.Dataset,

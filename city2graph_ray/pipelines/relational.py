@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
@@ -186,7 +187,6 @@ def revenue_forecast(sf_dir: str, date_from: str = "1995-01-01",
                  "l_extendedprice"])
 
     def partial(t):
-        import pyarrow as pa
         mask = pc.and_(
             pc.and_(pc.greater_equal(t["l_shipdate"], lo),
                     pc.less(t["l_shipdate"], hi)),
@@ -275,7 +275,6 @@ def large_volume_orders(sf_dir: str, min_qty: float = 250.0,
         num_buckets=num_buckets)
     # emit Arrow with a declared schema so an all-filtered (empty)
     # qualifier set still joins cleanly downstream
-    import pyarrow as pa
     qual_schema = pa.schema([("o_orderkey", pa.int64()),
                              ("sum_qty", pa.float64())])
 
@@ -547,7 +546,6 @@ def part_supplier_diversity(sf_dir: str, brand_excl: str = "Brand#1",
         }).assign(bad_mark=np.int64(1)),
         batch_format="pandas")
 
-    import pyarrow as pa
     anti = bucketed_join(
         ps, bad, on="l_suppkey", how="left", num_buckets=num_buckets,
         right_schema=pa.schema([("l_suppkey", pa.int64()),
@@ -640,7 +638,6 @@ def inactive_customer_balance(sf_dir: str,
         lambda b: b.rename(columns={"o_custkey": "c_custkey"})
         .assign(has_ord=np.int64(1)), batch_format="pandas")
 
-    import pyarrow as pa
     anti = bucketed_join(
         eligible, okeys, on="c_custkey", how="left",
         num_buckets=num_buckets,
@@ -728,18 +725,18 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_20",
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_nationkey"]).map_batches(
-        lambda b, nm=nation: pd.DataFrame({
+        lambda b, nm=nation: pa.Table.from_pandas(pd.DataFrame({
             "c_custkey": b["c_custkey"].to_numpy(np.int64),
             "cust_nation": b["c_nationkey"].map(
                 dict(zip(nm["n_nationkey"], nm["n_name"]))).astype(str),
         }).loc[lambda d: d["cust_nation"].isin(pair)],
+            preserve_index=False),
         batch_format="pandas")
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey"]).map_batches(
         lambda b: b.rename(columns={"o_custkey": "c_custkey"}),
         batch_format="pandas")
-    import pyarrow as pa
     ord_nat = bucketed_join(
         orders, cust, on="c_custkey", num_buckets=num_buckets,
         left_schema=pa.schema([("o_orderkey", pa.int64()),
@@ -747,8 +744,8 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_20",
         right_schema=pa.schema([("c_custkey", pa.int64()),
                                 ("cust_nation", pa.string())])
     ).map_batches(
-        lambda b: b.rename(columns={"o_orderkey": "l_orderkey"})
-        [["l_orderkey", "cust_nation"]], batch_format="pandas")
+        lambda t: t.select(["o_orderkey", "cust_nation"]).rename_columns(
+            ["l_orderkey", "cust_nation"]), batch_format="pyarrow")
 
     joined = bucketed_join(
         li, ord_nat, on="l_orderkey", num_buckets=num_buckets,
@@ -760,9 +757,9 @@ def volume_shipping(sf_dir: str, nation_a: str = "NATION_20",
         right_schema=pa.schema([("l_orderkey", pa.int64()),
                                 ("cust_nation", pa.string())]))
     flows = joined.map_batches(
-        lambda b: b.loc[b["supp_nation"] != b["cust_nation"],
-                        ["supp_nation", "cust_nation", "l_year", "rev"]],
-        batch_format="pandas")
+        lambda t: t.filter(pc.not_equal(t["supp_nation"], t["cust_nation"]))
+        .select(["supp_nation", "cust_nation", "l_year", "rev"]),
+        batch_format="pyarrow")
     agg = shuffle.group_agg(
         flows, ["supp_nation", "cust_nation", "l_year"],
         {"volume": ("rev", "sum")}, num_buckets=num_buckets)
@@ -795,7 +792,6 @@ def product_profit(sf_dir: str, name_word: str = "red",
     amount terms are rounded to 2dp before the sum (integer-cent
     argument, see returned_item_report)."""
     from city2graph_ray.joins import broadcast_join
-    import pyarrow as pa
 
     nation = pd.read_parquet(f"{sf_dir}/nation.parquet",
                              columns=["n_nationkey", "n_name"])
@@ -945,7 +941,6 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#12",
     per-part thresholds re-enter through a second bucketed join.  The
     final scalar is rounded at 2dp (near-integer cents) before the
     division by ``years``."""
-    import pyarrow as pa
 
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet",
@@ -1006,7 +1001,6 @@ def disjunctive_revenue(sf_dir: str,
     a single term-rounded revenue scalar.  The part side is pre-pruned
     to rows matching ANY clause's (brand, size) so the join moves only
     candidate parts."""
-    import pyarrow as pa
 
     brands = {c[0] for c in clauses}
 
@@ -1074,7 +1068,6 @@ def late_shipment_priority(sf_dir: str, late_days: int = 60,
     key + a precomputed is-high bit and the order date), then the
     CASE-WHEN counts are per-batch integer partials merged by a
     3-row keyed sum."""
-    import pyarrow as pa
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -1213,7 +1206,6 @@ def waiting_suppliers(sf_dir: str, late_days: int = 60, k: int = 20,
     late supplier) in one keyed pass — the exists/not-exists pair of
     Q21 collapses into two counters and a sentinel-min, all mergeable
     aggregates.  The final per-supplier count is supplier-sized."""
-    import pyarrow as pa
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -1312,7 +1304,6 @@ def market_share(sf_dir: str, target_nation: str = "NATION_12",
     numerator and denominator are integer cents, so both engines
     divide the SAME exact doubles (cent totals < 2^53) and the 6dp
     round cannot diverge."""
-    import pyarrow as pa
     from city2graph_ray.joins import broadcast_join
 
     lo = pd.Timestamp(date_from).to_datetime64()
@@ -1444,7 +1435,6 @@ def min_cost_supplier(sf_dir: str, region: str = "ASIA",
     broadcast); the cost table shuffles ONCE keyed by partkey for both
     the per-part min and the winner equi-join (bucketed).
     """
-    import pyarrow as pa
 
     from city2graph_ray.joins import semi_filter
 

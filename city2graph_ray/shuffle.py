@@ -1,15 +1,15 @@
-"""Bucketed shuffle primitives.
+"""Keyed shuffle primitives.
 
-``ds.groupby(high_cardinality_key).map_groups(fn)`` pays a Python-level
-cost per DISTINCT KEY (pandas slice + fn call); with millions of keys
-(edge pairs, node ids) that dominates wall time.  These helpers shuffle
-on ``hash(key) % num_buckets`` instead — one Ray group per bucket —
-and run a VECTORIZED pandas kernel per bucket (drop_duplicates,
-groupby().agg, cumcount), so the per-key cost is C, not Python.
+A per-key Python call (pandas slice + fn call) dominates wall time with
+millions of keys (edge pairs, node ids).  These helpers hash the key
+columns to a partition of the engine's one keyed shuffle
+(``exchange.keyed_exchange``) and run a VECTORIZED pandas kernel once
+per partition (drop_duplicates, groupby().agg, cumcount), so the
+per-key cost is C, not Python.
 
 Every distributed dedup / first-wins / rank / aggregate in the engine
-routes through here.  ``num_buckets`` defaults to a modest constant;
-callers at larger scale raise it (buckets ≈ cluster cores × 2).
+routes through here.  ``num_buckets`` caps the partition count, which
+is otherwise twice the cluster's CPUs (at least 16).
 """
 
 from __future__ import annotations
@@ -20,35 +20,16 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from city2graph_ray.exchange import keyed_exchange
+
 DEFAULT_BUCKETS = 64
 
 
-def _bucket_col(df: pd.DataFrame, keys: Sequence[str], num_buckets: int) -> np.ndarray:
-    h = np.zeros(len(df), dtype=np.uint64)
-    for k in keys:
-        col = df[k]
-        if col.dtype.kind in "iu":
-            v = col.to_numpy().astype(np.uint64, copy=False)
-            v = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        else:
-            v = pd.util.hash_array(col.to_numpy(), categorize=False).astype(np.uint64)
-        h = h * np.uint64(1099511628211) ^ v
-    return (h % np.uint64(num_buckets)).astype(np.int64)
-
-
-def _bucketize(ds: ray.data.Dataset, keys: Sequence[str],
-               num_buckets: int) -> ray.data.Dataset:
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = _bucket_col(df, keys, num_buckets)
-        return df
-    return ds.map_batches(fn, batch_format="pandas")
-
-
-def _debucket(fn: Callable[[pd.DataFrame], pd.DataFrame]):
-    def wrapped(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns="__bucket"))
-    return wrapped
+def _keyed(ds: ray.data.Dataset, keys: Sequence[str],
+           kernel: Callable[[pd.DataFrame], pd.DataFrame],
+           num_buckets: int) -> ray.data.Dataset:
+    return keyed_exchange(ds, keys, kernel, per_group=False,
+                          num_buckets=num_buckets)
 
 
 def distinct(ds: ray.data.Dataset, keys: Sequence[str],
@@ -56,8 +37,7 @@ def distinct(ds: ray.data.Dataset, keys: Sequence[str],
     """Distinct rows by key columns (arbitrary winner among duplicates —
     use first_by for a deterministic one). One shuffle."""
     keys = list(keys)
-    return _bucketize(ds, keys, num_buckets).groupby("__bucket").map_groups(
-        _debucket(lambda g: g.drop_duplicates(keys)), batch_format="pandas")
+    return _keyed(ds, keys, lambda g: g.drop_duplicates(keys), num_buckets)
 
 
 def first_by(ds: ray.data.Dataset, keys: Sequence[str], order_col: str,
@@ -71,8 +51,7 @@ def first_by(ds: ray.data.Dataset, keys: Sequence[str], order_col: str,
         return (g.sort_values(order_col, kind="stable")
                 .drop_duplicates(keys, keep="first"))
 
-    return _bucketize(ds, keys, num_buckets).groupby("__bucket").map_groups(
-        _debucket(kernel), batch_format="pandas")
+    return _keyed(ds, keys, kernel, num_buckets)
 
 
 def last_by(ds: ray.data.Dataset, keys: Sequence[str], order_col: str,
@@ -86,8 +65,7 @@ def last_by(ds: ray.data.Dataset, keys: Sequence[str], order_col: str,
         return (g.sort_values(order_col, kind="stable")
                 .drop_duplicates(keys, keep="last"))
 
-    return _bucketize(ds, keys, num_buckets).groupby("__bucket").map_groups(
-        _debucket(kernel), batch_format="pandas")
+    return _keyed(ds, keys, kernel, num_buckets)
 
 
 def count_distinct(ds: ray.data.Dataset, keys: Sequence[str], value_col: str,
@@ -119,8 +97,7 @@ def rank_in_group(ds: ray.data.Dataset, keys: Sequence[str], order_col: str,
         g[rank_col] = g.groupby(keys, sort=False).cumcount().astype(np.int64)
         return g
 
-    return _bucketize(ds, keys, num_buckets).groupby("__bucket").map_groups(
-        _debucket(kernel), batch_format="pandas")
+    return _keyed(ds, keys, kernel, num_buckets)
 
 
 def group_agg(ds: ray.data.Dataset, keys: Sequence[str],
@@ -149,20 +126,18 @@ def group_agg(ds: ray.data.Dataset, keys: Sequence[str],
                  for out in aggs}
         return g.groupby(keys, sort=False).agg(**named).reset_index()
 
-    return _bucketize(src, keys, num_buckets).groupby("__bucket").map_groups(
-        _debucket(final_fn), batch_format="pandas")
+    return _keyed(src, keys, final_fn, num_buckets)
 
 
 def grouped_transform(ds: ray.data.Dataset, keys: Sequence[str],
                       kernel: Callable[[pd.DataFrame], pd.DataFrame],
                       num_buckets: int = DEFAULT_BUCKETS) -> ray.data.Dataset:
-    """General per-bucket kernel: ``kernel`` receives ALL rows of a
-    bucket (many keys) and must handle the within-bucket grouping itself
-    with vectorized pandas.  The escape hatch when distinct/first/rank/
-    agg don't fit (e.g. symmetrize's per-pair completion)."""
-    keys = list(keys)
-    return _bucketize(ds, keys, num_buckets).groupby("__bucket").map_groups(
-        _debucket(kernel), batch_format="pandas")
+    """General per-partition kernel: ``kernel`` receives ALL rows of the
+    keys hashed to one partition, sorted by key, and must handle the
+    grouping itself with vectorized pandas (and accept an empty frame).
+    The escape hatch when distinct/first/rank/agg don't fit (e.g.
+    symmetrize's per-pair completion)."""
+    return _keyed(ds, list(keys), kernel, num_buckets)
 
 
 def topk_in_group(ds: ray.data.Dataset, keys: Sequence[str], k: int,
@@ -177,8 +152,7 @@ def topk_in_group(ds: ray.data.Dataset, keys: Sequence[str], k: int,
                           kind="stable")
         return g.groupby(keys, sort=False).head(k)
 
-    return _bucketize(ds, keys, num_buckets).groupby("__bucket").map_groups(
-        _debucket(kernel), batch_format="pandas")
+    return _keyed(ds, keys, kernel, num_buckets)
 
 
 def mode_by(ds: ray.data.Dataset, keys: Sequence[str], value_col: str,

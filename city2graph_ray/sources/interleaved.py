@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray.data
 
 from city2graph_ray import synth
+from city2graph_ray.exchange import keyed_exchange
 from city2graph_ray.geom import wkt
 
 SPAN_TYPE = pa.list_(pa.struct([
@@ -493,21 +494,14 @@ def synthesize_caption_docs(sf_dir: str, num_buckets: int = 32) -> ray.data.Data
     :func:`caption_align` exists for.  Offsets are cumulative text
     lengths within the doc (media spans are zero-width).
 
-    Built with one hash-bucket shuffle on the order key (lineitems of
-    one order must meet); within a bucket everything is flat-array
+    Built with one hash shuffle on the order key (lineitems of one
+    order must meet); within a partition everything is flat-array
     vectorized — no per-doc Python loop."""
     import pyarrow.compute as pc
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_partkey"])
-
-    def bucket(b: pa.Table) -> pa.Table:
-        ok = b["l_orderkey"].to_numpy()
-        v = ok.astype(np.uint64)
-        v = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return b.append_column(
-            "__bucket", pa.array((v % np.uint64(num_buckets)).astype(np.int64)))
 
     def build(g: pa.Table) -> pa.Table:
         ok = g["l_orderkey"].to_numpy()
@@ -569,10 +563,8 @@ def synthesize_caption_docs(sf_dir: str, num_buckets: int = 32) -> ray.data.Data
         return _spans_table(ids, starts, kind, text, media,
                             offset.astype(np.int32))
 
-    return (li.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(lambda g: build(g.drop_columns(["__bucket"])),
-                        batch_format="pyarrow"))
+    return keyed_exchange(li, ["l_orderkey"], build, per_group=False,
+                          batch_format="pyarrow", num_buckets=num_buckets)
 
 
 def caption_align(docs: ray.data.Dataset) -> ray.data.Dataset:

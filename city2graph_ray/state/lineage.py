@@ -13,13 +13,13 @@ Layout for a stage checkpoint:
 
 ``checkpointed_write`` partitions the dataset by an explicit key column
 (cell id, enclosure id, bucket — the SAME key the stage shuffles on)
-with ``groupby().map_groups`` over Arrow groups: each reduce task writes
-every group it holds as is with ``pq.write_table``, so the loaded
-schema equals the written one (nested struct field order, int widths,
-all-null columns).  It SKIPS partitions whose manifest entry already
-exists with a matching fingerprint and whose part file is present at
-the recorded size — a re-run after failure redoes only unfinished or
-lost partitions.  After the write it removes the part files and
+through the engine's keyed shuffle (``exchange.keyed_exchange``) over
+Arrow groups: each reduce task writes every group it holds as is with
+``pq.write_table``, so the loaded schema equals the written one (nested
+struct field order, int widths, all-null columns).  It SKIPS
+partitions whose manifest entry already exists with a matching
+fingerprint and whose part file is present at the recorded size — a
+re-run after failure redoes only unfinished or lost partitions.  After the write it removes the part files and
 manifests of keys the write did not produce, so a stage directory holds
 exactly its last write's partitions.  ``load_checkpoint`` reads the
 complete partitions in one ``read_parquet`` over their files; a stage
@@ -37,6 +37,8 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
+
+from city2graph_ray.exchange import keyed_exchange
 
 _SCHEMA = "_schema.parquet"
 
@@ -128,8 +130,8 @@ def checkpointed_write(
         return pa.table({"partition": [key], "rows": [g.num_rows],
                          "bytes": [nbytes], "skipped": [key in done]})
 
-    results = ds.groupby(partition_col).map_groups(
-        write_partition, batch_format="pyarrow").take_all()
+    results = keyed_exchange(ds, [partition_col], write_partition,
+                             batch_format="pyarrow").take_all()
     keys = {r["partition"] for r in results}
     for f in os.listdir(stage_dir):  # partitions of earlier writes
         if f.startswith("part-") and f.endswith(".parquet") \

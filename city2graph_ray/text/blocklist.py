@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -89,16 +90,16 @@ def blocklist_filter(docs: ray.data.Dataset, blocked: ray.data.Dataset,
         out["__maybe"] = hit
         return out
 
-    # two consumers (clean/maybe splits) — pin to avoid re-execution
+    # two consumers (clean/maybe splits) — pin to avoid re-execution.
+    # The splits are Arrow stages: an empty pandas batch of object
+    # columns makes Ray's block-size estimate log an error per column.
     tagged = docs.map_batches(split, batch_format="pandas").materialize()
     clean = tagged.map_batches(
-        lambda b: b.loc[~b["__maybe"], [c for c in b.columns
-                                        if c != "__maybe"]],
-        batch_format="pandas")
+        lambda t: t.filter(pc.invert(t["__maybe"])).drop_columns(["__maybe"]),
+        batch_format="pyarrow")
     maybe = tagged.map_batches(
-        lambda b: b.loc[b["__maybe"], [c for c in b.columns
-                                       if c != "__maybe"]],
-        batch_format="pandas")
+        lambda t: t.filter(t["__maybe"]).drop_columns(["__maybe"]),
+        batch_format="pyarrow")
 
     bkeys = shuffle.distinct(
         blocked.map_batches(
@@ -108,9 +109,8 @@ def blocklist_filter(docs: ray.data.Dataset, blocked: ray.data.Dataset,
         [key_col], num_buckets=num_buckets)
     confirmed = bucketed_join(maybe, bkeys, on=key_col, how="left",
                               num_buckets=num_buckets).map_batches(
-        lambda b: b.loc[b["__hit"].isna(), [c for c in b.columns
-                                            if c != "__hit"]],
-        batch_format="pandas")
+        lambda t: t.filter(pc.is_null(t["__hit"])).drop_columns(["__hit"]),
+        batch_format="pyarrow")
     return clean.union(confirmed)
 
 

@@ -3,8 +3,8 @@
 - ``ann_topk``: brute-force cosine top-k — the exact baseline: per-batch
   numpy matmul against a *broadcast* normalized query matrix
   (put once, read once per worker), per-batch partial top-k, then a
-  tiny ``groupby(query_id)`` merge.  The corpus streams; nothing
-  materializes.
+  tiny per-query top-k merge (``shuffle.topk_in_group``).  The corpus
+  streams; nothing materializes.
 - ``ivf_topk``: the scale path — IVF-style bucketing by nearest coarse
   centroid (deterministic centroids from seeded corpus rows), probing
   ``nprobe`` buckets; recall < 1 by design, measured in tests.
@@ -19,6 +19,8 @@ import pandas as pd
 import ray
 import ray.data
 
+from city2graph_ray import shuffle
+from city2graph_ray.exchange import keyed_exchange
 from city2graph_ray.joins import broadcast_map
 
 
@@ -62,12 +64,8 @@ def ann_topk(corpus: ray.data.Dataset, queries: pd.DataFrame, k: int = 10,
 
     partials = broadcast_map(corpus, (qids, qm), score)
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", id_col], ascending=[False, True],
-                          kind="stable").head(k)
-        return g
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return shuffle.topk_in_group(partials, ["query_id"], k,
+                                 ["cosine", id_col], [False, True])
 
 
 def _centroids(corpus: ray.data.Dataset, n_centroids: int,
@@ -151,13 +149,9 @@ def ivf_topk(corpus: ray.data.Dataset, queries: pd.DataFrame, k: int = 10,
             id_col: ids[rows],
             "cosine": sims[rows, np.repeat(np.arange(sims.shape[1]), kk)]})
 
-    partials = bucketed.groupby("bucket").map_groups(probe, batch_format="pandas")
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["cosine", id_col], ascending=[False, True],
-                             kind="stable").head(k)
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    partials = keyed_exchange(bucketed, ["bucket"], probe)
+    return shuffle.topk_in_group(partials, ["query_id"], k,
+                                 ["cosine", id_col], [False, True])
 
 
 def _hyperplanes(dim: int, nbits: int, seed: int = 7) -> np.ndarray:
@@ -251,15 +245,9 @@ def lsh_topk(corpus: ray.data.Dataset, queries: pd.DataFrame, k: int = 10,
             id_col: ids[rows],
             "cosine": sims[rows, np.repeat(np.arange(sims.shape[1]), kk)]})
 
-    partials = bucketed.groupby("bucket").map_groups(
-        probe, batch_format="pandas")
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["cosine", id_col], ascending=[False, True],
-                             kind="stable").head(k)
-
-    return partials.groupby("query_id").map_groups(
-        merge, batch_format="pandas")
+    partials = keyed_exchange(bucketed, ["bucket"], probe)
+    return shuffle.topk_in_group(partials, ["query_id"], k,
+                                 ["cosine", id_col], [False, True])
 
 
 def embedding_neardup(corpus: ray.data.Dataset, threshold: float = 0.95,
@@ -319,4 +307,4 @@ def embedding_neardup(corpus: ray.data.Dataset, threshold: float = 0.95,
         o = np.argsort(ids)
         return split_pairs(ids[o], _normalize(_to_matrix(g[vec_col]))[o], 0)
 
-    return bucketed.groupby("bucket").map_groups(pairs, batch_format="pandas")
+    return keyed_exchange(bucketed, ["bucket"], pairs)

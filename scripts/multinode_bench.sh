@@ -12,8 +12,8 @@
 #
 # Env: NODES (4), CPUS_PER_NODE (8), OBJ_STORE_GB (8)
 set -e
-cd /root/repo
-export PYTHONPATH=/root/repo   # worker raylets inherit this; on a real
+cd "$(dirname "$0")/.."
+export PYTHONPATH=$PWD         # worker raylets inherit this; on a real
                                # multi-node cluster working_dir does it
 NODES=${NODES:-4}
 CPUS=${CPUS_PER_NODE:-8}
@@ -21,12 +21,17 @@ OBJ=${OBJ_STORE_GB:-8}
 PORT=${PORT:-6379}
 ADDR=127.0.0.1:$PORT
 
-cleanup() { ray stop --force >/dev/null 2>&1 || true; }
+# The cluster keeps its sessions in a private temp dir (worker raylets
+# read it from the head), so cleanup stops exactly the processes whose
+# command line names it, not every Ray process on the host.
+RAY_TMP=$(mktemp -d "${TMPDIR:-/tmp}/c2g_multinode.XXXXXX")
+cleanup() {
+  pkill -KILL -f -- "$RAY_TMP" 2>/dev/null || true
+  rm -rf "$RAY_TMP"
+}
 trap cleanup EXIT
-cleanup
-sleep 1
 
-ray start --head --num-cpus="$CPUS" --port="$PORT" \
+ray start --head --num-cpus="$CPUS" --port="$PORT" --temp-dir="$RAY_TMP" \
     --object-store-memory=$((OBJ * 1073741824)) \
     --include-dashboard=false >/dev/null 2>&1
 for _ in $(seq 2 "$NODES"); do
@@ -66,7 +71,6 @@ ray.init(address="auto", logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 import logging; logging.getLogger("ray.data").setLevel(logging.ERROR)
-sys.path.insert(0, "/root/repo")
 import __ray_entry__ as E
 name, sf = sys.argv[1], sys.argv[2]
 t0 = time.time()

@@ -211,17 +211,49 @@ def test_group_nodes_pip(part_polys, pts):
     pd.testing.assert_frame_equal(got, exp)
 
 
-def test_strategies_agree(pts):
-    """The exchange fast path and the Dataset groupby path produce
-    identical edge sets (fixed-radius and kNN round 0)."""
-    from city2graph_ray.ops.proximity import fixed_radius_graph, knn_graph
+def test_exchange_paths_match_bruteforce(pts, topk_stages):
+    """Every path through the cell exchange against numpy brute force:
+    fixed-radius unipartite and with ``targets``; kNN round 0,
+    bipartite, and a prefiltered escalation round (explicit queries
+    with halo copies); an empty input keeps the edge schema."""
+    d = brute_dist(pts)
+    ids = pts["id"].to_numpy()
     ds = rd.from_pandas(pts)
-    a = _sorted(fixed_radius_graph(ds, 40.0, strategy="exchange").to_pandas())
-    b = _sorted(fixed_radius_graph(ds, 40.0, strategy="groupby").to_pandas())
-    pd.testing.assert_frame_equal(a, b)
-    ka = _sorted(knn_graph(ds, 4, strategy="exchange").to_pandas())
-    kb = _sorted(knn_graph(ds, 4, strategy="groupby").to_pandas())
-    pd.testing.assert_frame_equal(ka, kb)
+    got = _sorted(fixed_radius_graph(ds, 40.0).to_pandas())
+    ii, jj = np.nonzero((d <= 40.0) & (ids[:, None] < ids[None, :]))
+    pd.testing.assert_frame_equal(got, _sorted(pd.DataFrame(
+        {"src": ids[ii], "dst": ids[jj], "distance": d[ii, jj]})))
+
+    qa, tb = np.arange(len(pts)) % 2 == 0, np.arange(len(pts)) % 2 == 1
+    got = _sorted(fixed_radius_graph(
+        rd.from_pandas(pts[qa]), 40.0,
+        targets=rd.from_pandas(pts[tb])).to_pandas())
+    ii, jj = np.nonzero((d[qa][:, tb] <= 40.0))
+    pd.testing.assert_frame_equal(got, _sorted(pd.DataFrame(
+        {"src": ids[qa][ii], "dst": ids[tb][jj],
+         "distance": d[qa][:, tb][ii, jj]})))
+
+    pd.testing.assert_frame_equal(
+        _sorted(knn_graph(ds, 4).to_pandas()), _brute_knn(pts, 4))
+    assert topk_stages == []  # round 0 resolved every query
+
+    dq = d[qa][:, tb]
+    sel = np.lexsort((np.broadcast_to(ids[tb], dq.shape), dq), axis=1)[:, :3]
+    rows = np.repeat(np.arange(qa.sum()), 3)
+    got = _sorted(knn_graph(rd.from_pandas(pts[qa]), 3,
+                            targets=rd.from_pandas(pts[tb])).to_pandas())
+    pd.testing.assert_frame_equal(got, _sorted(pd.DataFrame(
+        {"src": ids[qa][rows], "dst": ids[tb][sel.ravel()],
+         "distance": dq[rows, sel.ravel()]})))
+
+    got = _sorted(knn_graph(ds, 4, halo=1.0, cell_size=4.0).to_pandas())
+    pd.testing.assert_frame_equal(got, _brute_knn(pts, 4))
+    assert "near_q" in topk_stages
+
+    empty = rd.from_pandas(pts.iloc[:0])
+    for out in (fixed_radius_graph(empty, 40.0), knn_graph(empty, 4)):
+        assert out.count() == 0
+        assert out.schema().names == ["src", "dst", "distance"]
 
 
 def test_edge_cases_small_inputs():
