@@ -23,7 +23,17 @@ import ray
 import ray.data
 
 from city2graph_ray import shuffle
+from city2graph_ray.budget import fits_driver
 from city2graph_ray.joins import broadcast_map, bucketed_join
+
+# harmonic_centrality's per-slice cur[tails] gather scratch
+_GATHER_BYTES = 8 * 2**20
+
+# Driver bytes per node of the broadcast node-vector loops (pagerank,
+# personalized_pagerank, sssp_bounded): the sorted ids and their
+# pd.Index hash table, then the degree, rank, rank/degree,
+# contribution and one block partial, all 8-byte vectors.
+_RANK_VECTOR_BYTES = 96
 
 
 def _node_column(edges: ray.data.Dataset, col: str) -> ray.data.Dataset:
@@ -36,8 +46,6 @@ def pagerank(edges: ray.data.Dataset, num_iters: int = 5,
              damping: float = 0.85, src: str = "src", dst: str = "dst",
              round_iter: int = 10, round_to: int = 6,
              num_buckets: int = shuffle.DEFAULT_BUCKETS,
-             strategy: str = "auto",
-             broadcast_threshold: int = 2_000_000,
              ) -> ray.data.Dataset:
     """PageRank with a fixed ``num_iters`` over a directed edge list.
 
@@ -54,20 +62,20 @@ def pagerank(edges: ray.data.Dataset, num_iters: int = 5,
     unrolled-CTE oracle agrees bit-for-bit.  Output
     (node, rank) with the final rank rounded to ``round_to``.
 
-    Scale: per iteration one bucketed join (edge stream × node-sized
-    rank table, same hash key every round) + one partial-aggregated
-    keyed sum.  The rank table is materialized in the object store
-    between rounds; nothing touches the driver except the scalar n.
+    Scale: when the driver's node vectors fit the budget
+    (:func:`_pagerank_broadcast`), the edge stream stays distributed
+    and only n-length vectors meet on the driver.  Otherwise per
+    iteration one bucketed join (edge stream × node-sized rank table,
+    same hash key every round) + one partial-aggregated keyed sum; the
+    rank table is materialized in the object store between rounds and
+    nothing touches the driver except the scalar n.
     """
     nodes = shuffle.distinct(
         _node_column(edges, src).union(_node_column(edges, dst)),
         ["node"], num_buckets=num_buckets).materialize()
     n = float(nodes.count())
 
-    if strategy not in ("auto", "join", "broadcast"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "broadcast" or (strategy == "auto"
-                                   and n <= broadcast_threshold):
+    if fits_driver(n * _RANK_VECTOR_BYTES):
         return _pagerank_broadcast(edges, nodes, int(n), num_iters,
                                    damping, src, dst, round_iter,
                                    round_to)
@@ -129,9 +137,10 @@ def _pagerank_broadcast(edges: ray.data.Dataset, nodes: ray.data.Dataset,
     index, then every iteration is one streaming pass emitting a
     node-length partial contribution array per block (``bincount`` on
     dst with rank/deg weights), streamed back and summed on the driver
-    one block at a time (``iter_batches``, O(n) driver memory).  The
-    ``broadcast_threshold`` gate in :func:`pagerank` bounds n; beyond
-    it the join strategy runs with no node-sized driver state."""
+    one block at a time (``iter_batches``, O(n) driver memory).
+    :func:`pagerank` takes this path only when n × ``_RANK_VECTOR_BYTES``
+    fits the driver budget; beyond it the join rounds run with no
+    node-sized driver state."""
     node_arr = np.sort(nodes.to_pandas()["node"].to_numpy())
     index = pd.Index(node_arr)
     idx_ref = ray.put(index)
@@ -205,8 +214,7 @@ def degree_histogram(edges: ray.data.Dataset, src: str = "src",
 def kcore(edges: ray.data.Dataset, k: int, src: str = "src",
           dst: str = "dst",
           num_buckets: int = shuffle.DEFAULT_BUCKETS,
-          max_rounds: int = 200,
-          driver_edge_threshold: int = 5_000_000) -> ray.data.Dataset:
+          max_rounds: int = 200) -> ray.data.Dataset:
     """k-core of the UNDIRECTED simplification of an edge list
     (self-loops dropped, direction and multiplicity ignored): the
     maximal subgraph in which every node has degree ≥ ``k``.  Output
@@ -216,17 +224,18 @@ def kcore(edges: ray.data.Dataset, k: int, src: str = "src",
     Classic iterative peel (Seidman 1983, public literature), run as a
     monotone fixed point.  The heavy lifting — deduping the raw
     (possibly multi-)edge stream into the distinct undirected edge set
-    — is one distributed keyed shuffle regardless of strategy; the
+    — is one distributed keyed shuffle on either branch; the
     peel itself then picks by measured cost:
 
-    * distinct edges ≤ ``driver_edge_threshold``: collect the deduped
-      edge list once and peel with vectorized ``np.bincount`` rounds
+    * the driver peel fits the budget (96 B per distinct edge):
+      collect the deduped edge list once and peel with vectorized
+      ``np.bincount`` rounds
       (microseconds/round).  Same pattern as the EMST driver-Kruskal
       finish: iterative keyed joins cost ~1-5 s of shuffle latency
       PER ROUND, i.e. ~30× a broadcast pass on node-sized graphs
       (measured: the join peel took 310 s on a 2 500-node graph where
       the driver peel takes < 1 s end-to-end).
-    * above the threshold: distributed rounds — one partial-aggregated
+    * otherwise: distributed rounds — one partial-aggregated
       keyed degree sum plus two bucketed semi-joins of the surviving
       edge set against the node-sized alive table (same hash key every
       round); the driver sees only the scalar alive count.
@@ -235,7 +244,7 @@ def kcore(edges: ray.data.Dataset, k: int, src: str = "src",
     means the exact fixed point was reached — which is also why a
     DuckDB twin unrolled to ≥ the converged round count reproduces the
     result bit-for-bit (extra unrolled rounds are identity).  Both
-    strategies compute the identical fixed point (cross-checked in
+    branches compute the identical fixed point (cross-checked in
     tests).
 
     Scale: edge set and alive table live in the object store between
@@ -280,7 +289,9 @@ def kcore(edges: ray.data.Dataset, k: int, src: str = "src",
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], ntype), "deg": pa.array([], pa.int64())}))
 
-    if und.count() <= driver_edge_threshold:
+    # (a, b) collect 16 + endpoint concat 16 + np.unique's sort, argsort
+    # and inverse 48 + one round's masks and gathers 16: 96 B per edge
+    if fits_driver(und.count() * 96):
         df = und.to_pandas()
         if df.empty:
             return _empty()
@@ -501,7 +512,6 @@ def triangle_count(edges: ray.data.Dataset, src: str = "src",
 def label_propagation(edges: ray.data.Dataset, num_iters: int = 4,
                       src: str = "src", dst: str = "dst",
                       num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                      driver_edge_threshold: int = 5_000_000,
                       ) -> ray.data.Dataset:
     """Synchronous label propagation (Raghavan et al. 2007, public
     literature) over the UNDIRECTED simplification of an edge list,
@@ -513,13 +523,13 @@ def label_propagation(edges: ray.data.Dataset, num_iters: int = 4,
     on the bipartite-ish structures where synchronous LPA oscillates.
     Output ``(node, label)``.
 
-    Strategy mirrors :func:`kcore` — the distinct-edge dedup is one
+    Branches mirror :func:`kcore` — the distinct-edge dedup is one
     distributed keyed shuffle either way, then:
 
-    * distinct edges ≤ ``driver_edge_threshold``: one collect, then
-      vectorized rounds (factorized ``node*n+label`` bincount mode) on
-      the driver;
-    * above: per round, one bucketed join of the node-sized label
+    * the driver rounds fit the budget (272 B per distinct edge): one
+      collect, then vectorized rounds (factorized ``node*n+label``
+      bincount mode) on the driver;
+    * otherwise: per round, one bucketed join of the node-sized label
       table onto the directed half-edge set, one keyed (node, label)
       count, one per-node top-1 merge — all on the same node-id hash
       key.
@@ -546,7 +556,10 @@ def label_propagation(edges: ray.data.Dataset, num_iters: int = 4,
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], ntype), "label": pa.array([], ntype)}))
 
-    if und.count() <= driver_edge_threshold:
+    # collect, concat and np.unique as in kcore 80 + the doubled tgt/nbr
+    # arcs 32 + per round ~10 2m-long int64 temporaries (key, its sort,
+    # counts, tv/tl, lexsort order, gathers) 160: 272 B per edge
+    if fits_driver(und.count() * 272):
         df = und.to_pandas()
         a_raw = df["a"].to_numpy()
         b_raw = df["b"].to_numpy()
@@ -1139,8 +1152,6 @@ def harmonic_centrality(edges: ray.data.Dataset, hops: int = 3,
                         src: str = "src", dst: str = "dst",
                         sources: ray.data.Dataset | None = None,
                         num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                        driver_node_threshold: int = 50_000,
-                        driver_edge_threshold: int = 5_000_000,
                         ) -> ray.data.Dataset:
     """Bounded-hop harmonic centrality over the UNDIRECTED
     simplification: ``H(v) = Σ_{u ≠ v, d(v,u) ≤ hops} 1/d(v,u)`` with
@@ -1154,16 +1165,18 @@ def harmonic_centrality(edges: ray.data.Dataset, hops: int = 3,
     — identical IEEE ops on both engines, no summation-order freedom.
 
     Scale: the histogram needs per-node COUNTS, not the (src, dst)
-    pair table, so below ``driver_node_threshold`` nodes (bitset
-    memory = n²/8 bytes; 50k nodes = 312 MB) an exact driver
-    bitset-BFS computes it: one n×(n/8) uint8 reachability matrix,
-    per hop one gather + ``bitwise_or.reduceat`` over the edge list
-    and a popcount of the newly-seen bits — identical integer n_k by
-    construction (parity-tested vs the distributed branch).  This is
-    the r5 fix for a real 10× bomb: the sf0.1 zone graph (2.5k nodes,
-    avg degree ~110) pushed the pair-table Bellman-Ford to ~700M
-    round-3 relaxation rows = a 48-minute wall; the bitset path runs
-    it in milliseconds.  Above the threshold the relaxation path runs
+    pair table, so when its bytes fit the driver budget an exact
+    driver bitset-BFS computes it: n×(n/8) uint8 reachability
+    matrices (14·n²/8 bytes live with the int64 popcount temporary),
+    per hop a gather + ``bitwise_or.reduceat`` over edge slices of
+    at most ``_GATHER_BYTES`` and a popcount of the newly-seen bits —
+    identical integer n_k by construction (parity-tested vs the
+    distributed branch).  The edge collect is checked before it runs,
+    the bitset bytes once n is known.  This is the r5 fix for a real
+    10× bomb: the sf0.1 zone graph (2.5k nodes, avg degree ~110)
+    pushed the pair-table Bellman-Ford to ~700M round-3 relaxation
+    rows = a 48-minute wall; the bitset path runs it in
+    milliseconds.  Past the budget the relaxation path runs
     unchanged (one frontier × edges bucketed join + keyed min per
     hop); all-sources exact centrality there is O(Σ|B_hops(v)|·deg)
     relaxations — on dense graphs pass ``sources`` (a (node_id)
@@ -1191,22 +1204,28 @@ def harmonic_centrality(edges: ray.data.Dataset, hops: int = 3,
             "harmonic": pa.array([], pa.float64())}))
 
     n_edges = und.count()
-    if sources is None and n_edges <= driver_edge_threshold:
+    # edge side, per undirected edge: collect 16, endpoint concat and
+    # np.unique 32, ai/bi 16, heads/tails 32, their argsort 16 and
+    # sorted copies 32, slice boundary scratch 32: 176 B
+    edge_bytes = n_edges * 176
+    if sources is None and fits_driver(edge_bytes):
         edf = und.to_pandas()
         a = edf["a"].to_numpy(np.int64)
         bb = edf["b"].to_numpy(np.int64)
         ids = np.unique(np.concatenate([a, bb]))
         n = len(ids)
-        if n <= driver_node_threshold:
+        w = (n + 7) // 8
+        rows = max(1, _GATHER_BYTES // w)
+        # eye, seen, cur, nxt, ~seen, new (6·n·w) + the int64 pop[new]
+        # (8·n·w) + one slice's cur[tails] gather and its reduceat
+        if fits_driver(edge_bytes + 14 * n * w
+                       + 2 * min(2 * n_edges, rows) * w):
             ai = np.searchsorted(ids, a)
             bi = np.searchsorted(ids, bb)
             heads = np.concatenate([ai, bi])
             tails = np.concatenate([bi, ai])
             order = np.argsort(heads, kind="stable")
             heads, tails = heads[order], tails[order]
-            # group boundaries of equal heads for reduceat
-            uh, starts = np.unique(heads, return_index=True)
-            w = (n + 7) // 8
             pop = np.array([bin(i).count("1") for i in range(256)],
                            np.int64)
             eye = np.zeros((n, w), np.uint8)
@@ -1216,10 +1235,14 @@ def harmonic_centrality(edges: ray.data.Dataset, hops: int = 3,
             cur = eye
             nk = np.zeros((hops + 1, n), np.int64)
             for k in range(1, hops + 1):
-                gathered = cur[tails]          # (2m, w) gather
-                red = np.bitwise_or.reduceat(gathered, starts, axis=0)
                 nxt = np.zeros((n, w), np.uint8)
-                nxt[uh] = red
+                # OR each head's neighbor rows, one edge slice at a time
+                # (a head split across slices is OR'd twice: idempotent)
+                for lo in range(0, len(tails), rows):
+                    hs = heads[lo:lo + rows]
+                    first = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1]])
+                    nxt[hs[first]] |= np.bitwise_or.reduceat(
+                        cur[tails[lo:lo + rows]], first, axis=0)
                 new = nxt & ~seen
                 nk[k] = pop[new].sum(axis=1)
                 seen |= nxt
@@ -1283,8 +1306,7 @@ def harmonic_centrality(edges: ray.data.Dataset, hops: int = 3,
 
 def hits(edges: ray.data.Dataset, num_iters: int = 3,
          src: str = "src", dst: str = "dst", scale: int = 10 ** 6,
-         num_buckets: int = shuffle.DEFAULT_BUCKETS,
-         driver_edge_threshold: int = 5_000_000) -> ray.data.Dataset:
+         num_buckets: int = shuffle.DEFAULT_BUCKETS) -> ray.data.Dataset:
     """HITS hubs-and-authorities (Kleinberg 1999, public literature)
     over a directed edge list, with L1 normalization carried in
     INTEGER units so every iteration is bit-reproducible:
@@ -1325,13 +1347,15 @@ def hits(edges: ray.data.Dataset, num_iters: int = 3,
             "auth": pa.array([], pa.float64()),
             "hub": pa.array([], pa.float64())}))
 
-    if eds.count() <= driver_edge_threshold:
+    # collect 16 + endpoint concat and np.unique 32 + si/di 16 + one
+    # phase's hub_u[si]/auth_u[di] gathers 16 + node vectors 16: 96 B
+    if fits_driver(eds.count() * 96):
         # driver fast path (same pattern as pagerank/k-core): the
         # int64 unit recurrences are order-free, so np.add.at partial
         # sums + the identical floor(u/t·sc+0.5) renormalization give
         # BIT-IDENTICAL scores to the distributed rounds (parity test
-        # in tests/test_graph_algos.py); 2 int64 cols ≤ 80 MB at the
-        # threshold.  Above it: the bucketed-join rounds below.
+        # in tests/test_graph_algos.py).  Past the budget: the
+        # bucketed-join rounds below.
         edf = eds.to_pandas()
         nid = np.unique(np.concatenate(
             [edf["src"].to_numpy(np.int64), edf["dst"].to_numpy(np.int64)]))
@@ -1476,20 +1500,20 @@ def _truss_support_local(e: pd.DataFrame) -> pd.DataFrame:
 def ktruss(edges: ray.data.Dataset, k: int, src: str = "src",
            dst: str = "dst",
            num_buckets: int = shuffle.DEFAULT_BUCKETS,
-           max_rounds: int = 100,
-           driver_edge_threshold: int = 1_000_000) -> ray.data.Dataset:
+           max_rounds: int = 100) -> ray.data.Dataset:
     """k-truss of the UNDIRECTED simplification of an edge list: the
     maximal subgraph whose every edge closes ≥ k−2 triangles within
     the subgraph (Cohen 2008, public literature).  Output
     ``(a, b, support)`` — the surviving canonical edges with their
     in-truss triangle support; typed-empty when nothing survives.
 
-    Strategy mirrors :func:`kcore`'s measured cost split:
+    Branches mirror :func:`kcore`'s measured cost split:
 
-    * distinct edges ≤ ``driver_edge_threshold``: collect once, peel
-      with vectorized pandas merge rounds (the min-vertex wedge
-      enumeration touches each triangle once per round).
-    * above: distributed rounds — per-round wedge explode inside a
+    * the merge rounds fit the driver budget (128 B per distinct
+      edge): collect once, peel with vectorized pandas merge rounds
+      (the min-vertex wedge enumeration touches each triangle once per
+      round).
+    * otherwise: distributed rounds — per-round wedge explode inside a
       keyed grouped-transform on the min vertex, one bucketed hash
       join closing wedges against the edge set, a keyed support sum,
       and a support filter; the surviving edge set re-materializes
@@ -1533,7 +1557,11 @@ def ktruss(edges: ray.data.Dataset, k: int, src: str = "src",
     if n_edges == 0:
         return _empty()
 
-    if n_edges <= driver_edge_threshold:
+    # (a, b) frame 16 + the self-merge's key factorization and index
+    # arrays ~48 + wedges and triangles as 3-int64-column frames at
+    # about one per edge ~64: 128 B per edge (wedge-heavy graphs use
+    # more)
+    if fits_driver(n_edges * 128):
         e = und.to_pandas()
         for _ in range(max_rounds):
             sup = _truss_support_local(e)
@@ -1610,18 +1638,18 @@ def _cliques4_local(e: pd.DataFrame) -> pd.DataFrame:
 def four_cliques(edges: ray.data.Dataset, src: str = "src",
                  dst: str = "dst",
                  num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                 driver_edge_threshold: int = 1_000_000,
                  ) -> ray.data.Dataset:
     """Exact enumeration of the 4-cliques of the UNDIRECTED
     simplification of an edge list (Chiba–Nishizeki clique listing,
     public literature).  Output ``(n1 < n2 < n3 < n4)``, one row per
     clique, typed-empty when there are none.
 
-    Follows :func:`ktruss`'s measured strategy split:
+    Follows :func:`ktruss`'s measured branch split:
 
-    * distinct edges ≤ ``driver_edge_threshold``: one collect, the
-      vectorized merge cascade above.
-    * larger: fully distributed — min-vertex wedge explode (ragged
+    * the merge cascade fits the driver budget (:func:`ktruss`'s 128 B
+      per distinct edge): one collect, the vectorized merge cascade
+      above.
+    * otherwise: fully distributed — min-vertex wedge explode (ragged
       triu inside a keyed grouped-transform), one bucketed pair join
       closing triangles, then three bucketed joins growing the 4th
       vertex and confirming its two remaining edges.  Every join is
@@ -1656,7 +1684,8 @@ def four_cliques(edges: ray.data.Dataset, src: str = "src",
     if n_edges == 0:
         return _empty()
 
-    if n_edges <= driver_edge_threshold:
+    # the same merge cascade as ktruss's support: 128 B per edge
+    if fits_driver(n_edges * 128):
         out = _cliques4_local(und.to_pandas())
         if out.empty:
             return _empty()
@@ -1725,8 +1754,7 @@ def four_cliques(edges: ray.data.Dataset, src: str = "src",
 def eccentricity(edges: ray.data.Dataset, src: str = "src",
                  dst: str = "dst",
                  num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                 max_rounds: int = 64,
-                 driver_node_threshold: int = 4096) -> ray.data.Dataset:
+                 max_rounds: int = 64) -> ray.data.Dataset:
     """Exact per-node eccentricity of the UNDIRECTED simplification:
     ``ecc(v) = max_u dist(v, u)`` over v's reachable set, plus the
     reachable-set size (so disconnected components are explicit, and
@@ -1736,15 +1764,15 @@ def eccentricity(edges: ray.data.Dataset, src: str = "src",
     This is an ALL-PAIRS op — the distance relation is O(n²) rows on
     a connected graph, so the node count is the budget, not the edge
     count (for corpus-scale graphs use sampled sources, as
-    :func:`harmonic_centrality` does).  Strategy split on the node
-    count (the O(n²) output bound, NOT the edge count):
+    :func:`harmonic_centrality` does).  Branch split on the n² bytes
+    of the driver kernel (the O(n²) output bound, NOT the edge count):
 
-    * ≤ ``driver_node_threshold`` nodes: one adjacency collect, all-
+    * the n×n matrices fit the driver budget: one adjacency collect, all-
       sources BFS as uint8 frontier-matrix products (n³ per level via
       BLAS — measured ~10⁴× faster than shuffle rounds at these
       sizes, where per-round exchange overhead dwarfs the 10⁴-row
       relation).
-    * larger: distributed BFS relaxation — the (src, node, d)
+    * otherwise: distributed BFS relaxation — the (src, node, d)
       relation lives in the object store, each round joins it against
       the adjacency on a hash bucket, unions, and min-reduces per
       (src, node).  Monotone: rows only append and distances only
@@ -1785,7 +1813,10 @@ def eccentricity(edges: ray.data.Dataset, src: str = "src",
         ["u"], num_buckets=num_buckets)
     n_nodes = nodes.count()
 
-    if n_nodes <= driver_node_threshold:
+    # A, reached, frontier, its uint8 cast, the product and one level's
+    # boolean temporaries: 8 one-byte n×n matrices; plus the doubled
+    # adjacency collect and its two position maps: 48 B per arc
+    if fits_driver(8 * n_nodes * n_nodes + 48 * adj.count()):
         ap = adj.to_pandas()
         ids = np.unique(ap["u"].to_numpy())
         pos = {v: i for i, v in enumerate(ids)}
@@ -1971,7 +2002,6 @@ def personalized_pagerank(edges: ray.data.Dataset, seeds,
                           src: str = "src", dst: str = "dst",
                           round_iter: int = 10, round_to: int = 6,
                           num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                          broadcast_threshold: int = 2_000_000,
                           ) -> ray.data.Dataset:
     """Personalized PageRank: teleport mass concentrates on ``seeds``
     (uniform over the seeds present in the graph) instead of all
@@ -1980,9 +2010,9 @@ def personalized_pagerank(edges: ray.data.Dataset, seeds,
     ``round_iter`` decimals each iteration so float association order
     cannot leak, and the unrolled-CTE SQL twin agrees bit-for-bit.
 
-    Broadcast strategy only (rank vector is O(n) driver/actor memory,
-    edge stream distributed — ``pagerank``'s measured fast path);
-    graphs past ``broadcast_threshold`` nodes need the join-strategy
+    Broadcast loop only (rank vector is O(n) driver memory, edge
+    stream distributed — ``pagerank``'s measured fast path); graphs
+    whose node vectors do not fit the driver budget need the join
     loop of :func:`pagerank` with a seed-flag column on the rank
     table — raised explicitly rather than silently collected."""
     nodes = shuffle.distinct(
@@ -1994,11 +2024,11 @@ def personalized_pagerank(edges: ray.data.Dataset, seeds,
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], pa.int64()),
             "rank": pa.array([], pa.float64())}))
-    if n > broadcast_threshold:
+    if not fits_driver(n * _RANK_VECTOR_BYTES):
         raise ValueError(
-            f"personalized_pagerank broadcast path capped at "
-            f"{broadcast_threshold} nodes (got {n}); extend with the "
-            f"join-strategy loop of pagerank() for larger graphs")
+            f"personalized_pagerank's {n} node vectors do not fit the "
+            f"driver budget; extend with the join loop of pagerank() "
+            f"for larger graphs")
 
     node_arr = np.sort(nodes.to_pandas()["node"].to_numpy())
     seed_mask = np.isin(node_arr, np.asarray(list(seeds)))
@@ -2257,7 +2287,6 @@ def _mis_local(a: np.ndarray, b: np.ndarray, nodes: np.ndarray,
 def maximal_independent_set(edges: ray.data.Dataset, src: str = "src",
                             dst: str = "dst",
                             num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                            driver_edge_threshold: int = 1_000_000,
                             max_rounds: int = 64) -> ray.data.Dataset:
     """Deterministic maximal independent set — Luby's parallel MIS
     (Luby 1986, public literature) with FIXED md5 priorities, which
@@ -2271,9 +2300,9 @@ def maximal_independent_set(edges: ray.data.Dataset, src: str = "src",
     neighborhoods leave; repeat to the fixed point (O(log n) rounds
     w.h.p.).  Output ``(node, in_mis)`` for every node.
 
-    Strategy split as in :func:`kcore`: edges ≤
-    ``driver_edge_threshold`` run the vectorized index-array kernel on
-    the driver; larger graphs run the same rounds distributed — per
+    Branch split as in :func:`kcore`: graphs whose index-array kernel
+    fits the driver budget run it on the driver; larger graphs run the
+    same rounds distributed — per
     round one bucketed join attaching priorities, one keyed
     lexicographic-min reduction, and an anti-join removing closed
     neighborhoods; the driver sees the remaining-count scalar."""
@@ -2298,7 +2327,11 @@ def maximal_independent_set(edges: ray.data.Dataset, src: str = "src",
             "node": pa.array([], pa.int64()),
             "in_mis": pa.array([], pa.bool_())}))
 
-    if n_edges <= driver_edge_threshold:
+    # per edge: collect 16, concat and np.unique 32, a/b 16,
+    # _mis_local's heads/tails 32 and one round's live/h/t/keys[h]
+    # gathers ~56; per node (at most 2 per edge) the md5'd id string
+    # and its index entry ~100: 352 B per edge
+    if fits_driver(n_edges * 352):
         e = und.to_pandas()
         nodes = np.unique(np.concatenate([e["a"].to_numpy(),
                                           e["b"].to_numpy()]))
@@ -2535,8 +2568,6 @@ def deterministic_walks(edges: ray.data.Dataset, steps: int = 3,
 
 def sssp_bounded(edges: ray.data.Dataset, source: int, rounds: int = 4,
                  src: str = "src", dst: str = "dst", weight: str = "w",
-                 strategy: str = "auto",
-                 broadcast_threshold: int = 2_000_000,
                  num_buckets: int = shuffle.DEFAULT_BUCKETS,
                  ) -> ray.data.Dataset:
     """Bounded-hop single-source shortest path (Bellman–Ford rounds)
@@ -2546,14 +2577,12 @@ def sssp_bounded(edges: ray.data.Dataset, source: int, rounds: int = 4,
     friendly, and exactly unrollable as a SQL CTE ladder (all-integer
     mins, no float anywhere).  Output (node, dist) for reached nodes.
 
-    Strategies (same split as :func:`pagerank`): ``broadcast`` keeps
-    the node-sized dist VECTOR on the driver and streams the edge
-    blocks once per round (per-block ``minimum.at`` partials, O(n)
-    driver memory — n gated by ``broadcast_threshold``); ``join`` runs
-    one bucketed join (dist × edges on src, same hash key every round)
+    Branches (same split as :func:`pagerank`): when the node vectors
+    fit the driver budget, the node-sized dist VECTOR stays on the
+    driver and the edge blocks stream once per round (per-block
+    ``minimum.at`` partials, O(n) driver memory); otherwise one
+    bucketed join (dist × edges on src, same hash key every round)
     + one keyed min per round with no node-sized driver state."""
-    if strategy not in ("auto", "join", "broadcast"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     edges = edges.materialize()  # consumed twice (node set + rounds)
     nodes = shuffle.distinct(
@@ -2561,8 +2590,7 @@ def sssp_bounded(edges: ray.data.Dataset, source: int, rounds: int = 4,
         ["node"], num_buckets=num_buckets).materialize()
     n = nodes.count()
 
-    if strategy == "broadcast" or (strategy == "auto"
-                                   and n <= broadcast_threshold):
+    if fits_driver(n * _RANK_VECTOR_BYTES):
         node_arr = np.sort(nodes.to_pandas()["node"].to_numpy(np.int64))
         index = pd.Index(node_arr)
         idx_ref = ray.put(index)
@@ -2609,7 +2637,7 @@ def sssp_bounded(edges: ray.data.Dataset, source: int, rounds: int = 4,
         out_dist = dist[reached]
         if pos[0] < 0:
             # source isn't an edge endpoint: still report dist 0
-            # (matches the join strategy and the SQL ladder's d0 seed)
+            # (matches the join rounds and the SQL ladder's d0 seed)
             out_nodes = np.concatenate(
                 [np.asarray([source], np.int64), out_nodes])
             out_dist = np.concatenate(
@@ -2617,7 +2645,7 @@ def sssp_bounded(edges: ray.data.Dataset, source: int, rounds: int = 4,
         return ray.data.from_pandas(pd.DataFrame(
             {"node": out_nodes, "dist": out_dist}))
 
-    # join strategy: dist table is a Dataset, edges stay put
+    # join rounds: dist table is a Dataset, edges stay put
     ew = edges.map_batches(
         lambda b: pd.DataFrame({src: b[src].to_numpy(np.int64),
                                 dst: b[dst].to_numpy(np.int64),
@@ -2703,8 +2731,6 @@ def _tarjan_scc_local(a: np.ndarray, b: np.ndarray) -> pd.DataFrame:
 def strongly_connected_components(
         edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
         num_buckets: int = shuffle.DEFAULT_BUCKETS,
-        strategy: str = "auto",
-        driver_node_threshold: int = 500_000,
         max_rounds: int = 256) -> ray.data.Dataset:
     """SCCs of a DIRECTED graph: ``(node, scc_id)`` with
     ``scc_id = min node id in the component`` — the directed
@@ -2712,14 +2738,14 @@ def strongly_connected_components(
     (reference consumes NetworkX ``strongly_connected_components``;
     this is from-scratch).
 
-    Strategy split, same contract as :func:`pagerank` /
+    Branch split, same contract as :func:`pagerank` /
     :func:`eccentricity` — graph tables are node/edge-scale, far
     smaller than the data they index:
 
-    * ``"broadcast"`` (auto under ``driver_node_threshold``): one
+    * Tarjan fits the driver budget (416 B per distinct edge): one
       distinct-edge collect, iterative Tarjan on the driver — exact,
       linear, no recursion.
-    * ``"coloring"``: distributed forward–backward min-label peeling
+    * otherwise: distributed forward–backward min-label peeling
       (Orzan; Slota et al.): repeat { forward-propagate min ancestor
       label to fixpoint (bucketed join + keyed min per round, labels
       monotone ↓ so an unchanged sum is the exact fixpoint); each
@@ -2736,12 +2762,11 @@ def strongly_connected_components(
             batch_format="pandas"),
         ["s", "d"], num_buckets=num_buckets).materialize()
 
-    if strategy == "auto":
-        n_hint = ed.count()  # node count ≤ 2·edge count
-        strategy = "broadcast" if n_hint <= driver_node_threshold \
-            else "coloring"
-
-    if strategy == "broadcast":
+    # per edge: collect 16, concat and np.unique 32, ai/bi, their order
+    # and sorted copies 40: 88; per node (at most 2 per edge) starts,
+    # ends, index, low, comp 40 + the Python work/stack entries ~120:
+    # 416 B per edge
+    if fits_driver(ed.count() * 416):
         df = ed.to_pandas()
         if not len(df):
             return ray.data.from_pandas(pd.DataFrame(
@@ -3152,7 +3177,6 @@ def attack_robustness(edges: ray.data.Dataset, n_remove: int,
 def condensation_edges(edges: ray.data.Dataset, src: str = "src",
                        dst: str = "dst",
                        num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                       driver_edge_threshold: int = 5_000_000,
                        ) -> ray.data.Dataset:
     """Condensation DAG of a digraph: one edge (scc_src → scc_dst) per
     pair of DISTINCT strongly connected components joined by at least
@@ -3174,7 +3198,10 @@ def condensation_edges(edges: ray.data.Dataset, src: str = "src",
                                 "d": b[dst].to_numpy(np.int64)}),
         batch_format="pandas").materialize()
 
-    if arcs.count() <= driver_edge_threshold:
+    # per arc: collect 16, relabeled ss/dd 16, mask and output frame 24,
+    # drop_duplicates' hashing ~40: 96; per node the label frame 16 and
+    # the boxed-int dict and its Series ~164: 180
+    if fits_driver(arcs.count() * 96 + scc.count() * 180):
         # driver fast path (hits/CC pattern): relabel + distinct in
         # pandas — same (scc_src, scc_dst) pair set as the two
         # bucketed joins + distinct below (parity-tested)
@@ -3239,7 +3266,7 @@ def katz_walk_counts(edges: ray.data.Dataset, rounds: int = 3,
     ``src``) plus one keyed sum to ``dst`` — the walk table is
     node-sized and object-store-resident between rounds, the edge table
     is pinned once and re-read per round (same device as pagerank's
-    join strategy above).  Every shuffle reuses the node id key.
+    join rounds above).  Every shuffle reuses the node id key.
     """
     import pyarrow as pa
 
@@ -3487,7 +3514,6 @@ def hash_walks(edges: ray.data.Dataset, seed_mod: int, length: int,
 def dag_longest_path(edges: ray.data.Dataset, rounds: int = 12,
                      src: str = "src", dst: str = "dst",
                      num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                     driver_edge_threshold: int = 5_000_000,
                      ) -> ray.data.Dataset:
     """Longest-path-ending-at-each-node over a DAG (critical-path /
     topological-depth — the classic scheduling metric) by ``rounds``
@@ -3513,7 +3539,10 @@ def dag_longest_path(edges: ray.data.Dataset, rounds: int = 12,
         ["node"], num_buckets=num_buckets)
 
     edges = edges.materialize()
-    if edges.count() <= driver_edge_threshold:
+    # the collected edge frame as stored, plus per edge si/di 16 and a
+    # round's depth[si] + 1 8, and per node (at most 2 per edge) the
+    # node collect, nid, depth and nxt 32: 88 B per edge
+    if fits_driver(edges.size_bytes() + edges.count() * 88):
         # driver fast path (pagerank/k-core/hits pattern): the max
         # recurrence is order-free integers, so np.maximum.at rounds
         # are BIT-IDENTICAL to the bucketed-join sweeps (parity test)
@@ -3563,7 +3592,6 @@ def markov_power(edges: ray.data.Dataset, iters: int = 4,
                  src: str = "src", dst: str = "dst", w: str = "w",
                  round_iter: int = 10, round_to: int = 6,
                  num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                 driver_edge_threshold: int = 5_000_000,
                  ) -> ray.data.Dataset:
     """Markov-chain state distribution after ``iters`` steps of the
     row-stochastic transition matrix built from integer edge weights
@@ -3584,7 +3612,7 @@ def markov_power(edges: ray.data.Dataset, iters: int = 4,
     Distributed shape per iteration: one bucketed join of the edge
     stream against the state-sized probability table keyed by
     ``src`` + one keyed sum by ``dst`` — identical to pagerank's
-    join strategy; works unchanged from a 6-state event-type chain
+    join rounds; works unchanged from a 6-state event-type chain
     to a billion-state click graph."""
     import pyarrow as pa
 
@@ -3600,7 +3628,11 @@ def markov_power(edges: ray.data.Dataset, iters: int = 4,
             "node": pa.array([], pa.string()),
             "prob": pa.array([], pa.float64())}))
     edges = edges.materialize()
-    if edges.count() <= driver_edge_threshold:
+    # the collected edge frame as stored, plus per edge the endpoint
+    # concat, pd.unique's hash table and sort 40, si/di 16, ww, ratio
+    # and dw[si] 24, a round's ratio * pr[si] 16, and per node (at most
+    # 2 per edge) dw, pr and s 48: 144 B per edge
+    if fits_driver(edges.size_bytes() + edges.count() * 144):
         # driver fast path (hits/pagerank pattern): identical ratio
         # division, per-iteration round_iter rounding quenches the
         # only float-association surface (gate re-verified bit-exact;
@@ -3694,7 +3726,6 @@ def markov_power(edges: ray.data.Dataset, iters: int = 4,
 def bowtie_structure(edges: ray.data.Dataset, rounds: int = 12,
                      src: str = "src", dst: str = "dst",
                      num_buckets: int = shuffle.DEFAULT_BUCKETS,
-                     driver_edge_threshold: int = 5_000_000,
                      ) -> pd.DataFrame:
     """Web-graph bow-tie decomposition (Broder et al. 2000, public
     literature): CORE = the largest SCC (ties → smallest scc_id), IN =
@@ -3705,9 +3736,10 @@ def bowtie_structure(edges: ray.data.Dataset, rounds: int = 12,
     deterministic even unconverged).  Output one row
     ``(n_core, n_in, n_out, n_other, core_id)``.
 
-    Distributed shape: SCC labels (FW-BW / driver Tarjan under
-    threshold), one keyed count for the largest SCC, then per round
-    ONE frontier⋈edges bucketed join + distinct per direction —
+    Distributed shape: SCC labels (driver Tarjan when it fits the
+    budget, FW-BW otherwise), one keyed count for the largest SCC,
+    then per round ONE frontier⋈edges bucketed join + distinct per
+    direction —
     frontier tables are node-sized; nothing but five scalars reaches
     the driver."""
     import pyarrow as pa
@@ -3745,7 +3777,9 @@ def bowtie_structure(edges: ray.data.Dataset, rounds: int = 12,
         batch_format="pandas").materialize()
     node_schema = pa.schema([("node", pa.int64())])
 
-    if e.count() <= driver_edge_threshold:
+    # collect 16 + endpoint concat and np.unique 32 + ui/vi 16 + a
+    # sweep's reach[si] mask and di gather 16 + node vectors 16: 96 B
+    if fits_driver(e.count() * 96):
         # driver fast path (hits/dag pattern): bounded-round boolean
         # BFS over the collected int64 edge list is set-identical to
         # the union+distinct sweeps (counts parity-tested)

@@ -30,6 +30,7 @@ import ray
 import ray.data
 
 from city2graph_ray import cells, shuffle
+from city2graph_ray.budget import fits_driver
 from city2graph_ray.exchange import keyed_exchange
 from city2graph_ray.geom.delaunay import delaunay_edges
 from city2graph_ray.joins import broadcast_map
@@ -892,23 +893,20 @@ def _boruvka_mst(cand: ray.data.Dataset, max_rounds: int = 40,
 
 def euclidean_minimum_spanning_tree(points: ray.data.Dataset,
                                     cell_size: float | None = None,
-                                    strategy: str = "auto",
-                                    driver_threshold: int = 2_000_000,
                                     ) -> ray.data.Dataset:
     """EMST over Delaunay-pruned candidates (reference
     proximity.py:1187-1300).  Candidate generation is the certified
     tiled Delaunay (distributed); the spanning pass is driver Kruskal
-    below ``driver_threshold`` candidate rows (fast, union-find over
+    when the candidates fit the driver budget (fast, union-find over
     ≤~3n small rows) and distributed Borůvka (:func:`_boruvka_mst`)
-    above it — ``strategy`` forces ``"kruskal"``/``"boruvka"``.  Both
-    use the same (distance, src, dst) total order, so their edge sets
-    are identical (cross-checked in tests)."""
+    otherwise.  Both use the same (distance, src, dst) total order, so
+    their edge sets are identical (cross-checked in tests)."""
     cand = (delaunay_graph(points, tiled=True, cell_size=cell_size)
             .materialize())
-    if strategy not in ("auto", "kruskal", "boruvka"):
-        raise ValueError(f"bad strategy {strategy!r}")
-    if strategy == "boruvka" or (strategy == "auto"
-                                 and cand.count() > driver_threshold):
+    # the candidate frame and its kept-row copy (2× as stored) + per
+    # row the lexsort order 8, a keep-list entry ~16 and a share of the
+    # boxed-int parent dict ~40: 64 B per row
+    if not fits_driver(2 * cand.size_bytes() + cand.count() * 64):
         return _boruvka_mst(cand)
     edges = cand.to_pandas()
     order = np.lexsort((edges["dst"].to_numpy(), edges["src"].to_numpy(),

@@ -280,10 +280,10 @@ def dbscan(points: ray.data.Dataset, eps: float, min_pts: int,
     engine's standard spatial exchange), pinned once and reused for
     (a) the neighbor-degree count, (b) the core-core edge set, (c) the
     border attachment.  Core components come from
-    :func:`~city2graph_ray.ops.topology.components_dual` (driver
-    union-find below 1M core edges, large-star/small-star rounds above
-    — no label broadcast either way); every join is node-sized and
-    bucketed.  Cluster id = min core-point id of the component.
+    :func:`~city2graph_ray.ops.topology.connected_components` (driver
+    union-find when it fits the driver budget, large-star/small-star
+    rounds otherwise — no label broadcast either way); every join is
+    node-sized and bucketed.  Cluster id = min core-point id of the component.
 
     A point is core iff |N_eps(p)| ≥ ``min_pts`` counting itself
     (requires ``min_pts ≥ 2``; with 1 every point is trivially core).
@@ -294,7 +294,7 @@ def dbscan(points: ray.data.Dataset, eps: float, min_pts: int,
     from city2graph_ray import shuffle
     from city2graph_ray.joins import bucketed_join
     from city2graph_ray.ops.proximity import fixed_radius_graph
-    from city2graph_ray.ops.topology import components_dual
+    from city2graph_ray.ops.topology import connected_components
 
     if min_pts < 2:
         raise ValueError("min_pts must be >= 2")
@@ -332,7 +332,7 @@ def dbscan(points: ray.data.Dataset, eps: float, min_pts: int,
         on="dst", num_buckets=num_buckets,
         left_schema=pa.schema([("src", pa.int64()), ("dst", pa.int64())]),
         right_schema=pa.schema([("dst", pa.int64())]))
-    comp = components_dual(ce)
+    comp = connected_components(ce)
 
     corelab = bucketed_join(
         core,

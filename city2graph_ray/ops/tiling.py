@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray.data
 
 from city2graph_ray import cells, shuffle
+from city2graph_ray.budget import fits_driver
 from city2graph_ray.joins import bucketed_join
 
 
@@ -742,8 +743,6 @@ def _pack_cell(c: np.ndarray, r: np.ndarray) -> np.ndarray:
 def flow_accumulation(dirs: ray.data.Dataset,
                       num_buckets: int = 16,
                       max_rounds: int = 64,
-                      strategy: str = "auto",
-                      broadcast_threshold: int = 2_000_000,
                       ) -> ray.data.Dataset:
     """D8 flow accumulation over a :func:`flow_direction_d8` table:
     per cell, the number of cells whose flow path passes through it
@@ -752,20 +751,19 @@ def flow_accumulation(dirs: ray.data.Dataset,
     cell ≤1 out-edge, values strictly decrease), so the count is
     exact.
 
-    ``strategy``:
+    Branches:
 
-    - ``"broadcast"`` — the dirs table is NODE-sized (one row per
-      raster cell), so below ``broadcast_threshold`` the whole
-      successor map collects once and a vectorized Kahn level-peel
-      runs on the driver (O(n + L) numpy passes) — the same
-      small-graph escape hatch as ``pagerank(strategy="broadcast")``.
-    - ``"doubling"`` — distributed pointer-doubling path closure:
+    - the dirs table is NODE-sized (one row per raster cell), so when
+      its Kahn peel fits the driver budget the whole successor map
+      collects once and a vectorized level-peel runs on the driver
+      (O(n + L) numpy passes) — the same small-graph escape hatch as
+      :func:`~city2graph_ray.ops.graph_algos.pagerank`'s node vectors.
+    - otherwise distributed pointer-doubling path closure:
       ``⌈log₂ L⌉`` bucketed-join rounds (L = longest flow path)
       instead of L topological peels; pairs are unique by
       construction (paths are simple), so no dedup shuffle.  Total
       shuffled volume is O(n·L̄) closure rows — the honest cost of
       exact accumulation at raster scale.
-    - ``"auto"`` — broadcast under the threshold, doubling above.
 
     Output (c, r, acc).
     """
@@ -780,8 +778,6 @@ def flow_accumulation(dirs: ray.data.Dataset,
 
     allcells = dirs.map_batches(keyed, batch_format="pandas").materialize()
     n = allcells.count()
-    if strategy == "auto":
-        strategy = "broadcast" if n <= broadcast_threshold else "doubling"
 
     half = np.int64(1) << 20
 
@@ -789,7 +785,10 @@ def flow_accumulation(dirs: ray.data.Dataset,
         return ((k >> 21) - half,
                 (k & ((np.int64(1) << 21) - 1)) - half)
 
-    if strategy == "broadcast":
+    # (a, b, flow) collect 24 + sa, pos, pos_c, nxt, acc, indeg and the
+    # searchsorted scratch 56 + masks and one level's gathers 16: 96 B
+    # per cell
+    if fits_driver(n * 96):
         df = allcells.to_pandas()
         if not len(df):
             return ray.data.from_pandas(pd.DataFrame(
@@ -877,8 +876,6 @@ def flow_accumulation(dirs: ray.data.Dataset,
 
 def flow_watershed(dirs: ray.data.Dataset,
                    num_buckets: int = 16,
-                   strategy: str = "auto",
-                   broadcast_threshold: int = 2_000_000,
                    max_rounds: int = 64) -> ray.data.Dataset:
     """Drainage-basin labeling over a :func:`flow_direction_d8`
     table: each cell is labeled with the TERMINAL of its D8 flow path
@@ -887,8 +884,8 @@ def flow_watershed(dirs: ray.data.Dataset,
     functional graph is a forest of self-loop-rooted trees, so the
     terminal is the fixpoint of POINTER JUMPING (``ptr ← ptr[ptr]``,
     ⌈log₂ L⌉ rounds): the node-sized successor map collects to the
-    driver under ``broadcast_threshold`` (vectorized numpy jumps,
-    :func:`flow_accumulation`'s contract), else each round is one
+    driver when its jumps fit the driver budget (vectorized numpy
+    jumps, :func:`flow_accumulation`'s contract), else each round is one
     LEFT bucketed self-join (missing targets are exits and stay
     fixed).  Unlike the accumulation closure this shuffles only O(n)
     rows per round.  Output (c, r, pit_c, pit_r).
@@ -902,8 +899,6 @@ def flow_watershed(dirs: ray.data.Dataset,
 
     ptr = dirs.map_batches(keyed, batch_format="pandas").materialize()
     n = ptr.count()
-    if strategy == "auto":
-        strategy = "broadcast" if n <= broadcast_threshold else "jumping"
 
     half = np.int64(1) << 20
 
@@ -916,7 +911,10 @@ def flow_watershed(dirs: ray.data.Dataset,
             "pit_c": (t >> 21) - half,
             "pit_r": (t & ((np.int64(1) << 21) - 1)) - half})
 
-    if strategy == "broadcast":
+    # (a, b) collect 16 + concat and np.unique over 2 keys per cell 32 +
+    # nxt and one jump's nn over them 32 + the searchsorted positions
+    # 16 + the 4-column output frame 32: 128 B per cell
+    if fits_driver(n * 128):
         df = ptr.to_pandas()
         if not len(df):
             return ray.data.from_pandas(pd.DataFrame(

@@ -29,6 +29,7 @@ import ray
 import ray.data
 
 from city2graph_ray import shuffle
+from city2graph_ray.budget import fits_driver
 from city2graph_ray.joins import broadcast_map
 
 
@@ -241,7 +242,6 @@ def symmetrize_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
 
 def clip_graph(nodes: ray.data.Dataset, edges: ray.data.Dataset,
                ring: np.ndarray, strict: bool = True,
-               driver_edge_threshold: int = 5_000_000,
                ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
     """Clip a graph to a polygon (reference clip_graph,
     utils/topology.py:698-772): strict keeps edges with BOTH endpoint
@@ -252,9 +252,9 @@ def clip_graph(nodes: ray.data.Dataset, edges: ray.data.Dataset,
     ``nodes`` needs node_id.
 
     Clip output is O(input) rows for a city-scale window, so the
-    endpoint keep-set is gated (VERDICT r4 #2): below
-    ``driver_edge_threshold`` kept edges a driver set is fastest;
-    above it the endpoint ids go through a distinct shuffle first and
+    endpoint keep-set is gated (VERDICT r4 #2): when the kept edges
+    and their id sets fit the driver budget a driver set is fastest;
+    past it the endpoint ids go through a distinct shuffle first and
     only the DISTINCT ids (≪ edges) reach the driver as the broadcast
     semi-filter array.  Both branches keep identical rows
     (parity-tested)."""
@@ -263,7 +263,9 @@ def clip_graph(nodes: ray.data.Dataset, edges: ray.data.Dataset,
     n_kept = kept_edges.count()
     if n_kept == 0:
         return nodes.filter(lambda r: False), kept_edges
-    if n_kept <= driver_edge_threshold:
+    # the kept edge frame as stored + the src and dst id sets and their
+    # union, ~64 B per boxed id and 3 per edge: 192 B per edge
+    if fits_driver(kept_edges.size_bytes() + n_kept * 192):
         edf = kept_edges.to_pandas()
         keep_ids = set(edf["src"]) | set(edf["dst"])
         return semi_filter(nodes, keep_ids, "node_id"), kept_edges
@@ -278,7 +280,6 @@ def clip_graph(nodes: ray.data.Dataset, edges: ray.data.Dataset,
 
 
 def connected_components(edges: ray.data.Dataset, max_iters: int = 50,
-                         driver_edge_threshold: int = 5_000_000,
                          ) -> ray.data.Dataset:
     """Component label per node via alternating large-star / small-star
     (Kiveris et al., "Connected Components in MapReduce and Beyond" —
@@ -288,9 +289,13 @@ def connected_components(edges: ray.data.Dataset, max_iters: int = 50,
     min node id reachable.  Reference keeps the largest component
     (utils/topology.py:775-825) — compose with a count + semi-filter.
 
-    Below ``driver_edge_threshold`` distinct edges a driver union-find
-    produces the IDENTICAL (node, min-id) labeling without the
-    O(log n) shuffle rounds (pagerank/k-core pattern; parity-tested)."""
+    When its union-find fits the driver budget (160 B per distinct
+    edge) a driver union-find produces the IDENTICAL (node, min-id)
+    labeling without the O(log n) shuffle rounds (pagerank/k-core
+    pattern; parity-tested) — post-filter edge sets (DBSCAN core
+    graphs, near-dup pair streams) are routinely that small even when
+    the corpus is not.  Output: (node_id, component) for every node
+    incident to a non-self edge."""
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
         s = batch["src"].to_numpy(np.int64)
@@ -311,33 +316,35 @@ def connected_components(edges: ray.data.Dataset, max_iters: int = 50,
             {"node_id": pd.Series(dtype=np.int64),
              "component": pd.Series(dtype=np.int64)}))
 
-    if n_edges <= driver_edge_threshold:
+    # collect 16 + endpoint concat 16 + np.unique's sort, argsort and
+    # inverse 48 + the inverse halves as Python int lists 72 + parent
+    # vector 8: 160 B per edge
+    if fits_driver(n_edges * 160):
         edf = e.to_pandas()
         u = edf["u"].to_numpy(np.int64)
         v = edf["v"].to_numpy(np.int64)
-        nid = np.unique(np.concatenate([u, v]))
-        parent = np.arange(len(nid), dtype=np.int64)
+        ids, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
+        parent = np.arange(len(ids), dtype=np.int64)
 
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
 
-        ui = np.searchsorted(nid, u)
-        vi = np.searchsorted(nid, v)
-        for a, b in zip(ui, vi):
-            ra, rb = find(int(a)), find(int(b))
+        for a, b in zip(inv[:len(u)].tolist(), inv[len(u):].tolist()):
+            ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        roots = np.fromiter((find(int(i)) for i in range(len(nid))),
-                            np.int64, len(nid))
-        # component label = MIN node id in the component: since union
-        # always keeps the smaller root, root index == min member index
+        # full path compression; union always keeps the smaller root and
+        # ids are sorted, so root index == min member index == min id
+        while True:
+            nxt = parent[parent]
+            if np.array_equal(nxt, parent):
+                break
+            parent = nxt
         return ray.data.from_pandas(pd.DataFrame(
-            {"node_id": nid, "component": nid[roots]}))
+            {"node_id": ids, "component": ids[parent]}))
 
     def edge_checksum(ds: ray.data.Dataset) -> tuple[int, int]:
         def part(b: pd.DataFrame) -> pd.DataFrame:
@@ -406,77 +413,15 @@ def connected_components(edges: ray.data.Dataset, max_iters: int = 50,
     return shuffle.group_agg(lab, ["node_id"], {"component": ("component", "min")})
 
 
-def components_dual(edges: ray.data.Dataset,
-                    driver_threshold: int = 1_000_000,
-                    max_iters: int = 50) -> ray.data.Dataset:
-    """:func:`connected_components` with a driver union-find fast path.
-
-    Post-filter edge sets (DBSCAN core graphs, near-dup pair streams,
-    gate-scale fixtures) are routinely tiny even when the input corpus
-    is not — paying ~2·log n bucketed shuffle rounds there is pure
-    latency.  Below ``driver_threshold`` DISTINCT edges the component
-    labels come from an in-memory union-find (union by min root, so the
-    label is the component's min node id — the same contract as the
-    distributed rounds); above it the large-star/small-star path runs
-    unchanged.  Output: (node_id, component) for every node incident to
-    a non-self edge."""
-    def canon(batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch["src"].to_numpy(np.int64)
-        d = batch["dst"].to_numpy(np.int64)
-        m = s != d
-        return pd.DataFrame({"src": np.maximum(s[m], d[m]),
-                             "dst": np.minimum(s[m], d[m])})
-
-    e = shuffle.distinct(
-        edges.map_batches(canon, batch_format="pandas"),
-        ["src", "dst"]).materialize()
-    n_edges = e.count()
-    if n_edges == 0:
-        return ray.data.from_pandas(pd.DataFrame(
-            {"node_id": pd.Series(dtype=np.int64),
-             "component": pd.Series(dtype=np.int64)}))
-    if n_edges > driver_threshold:
-        return connected_components(e, max_iters=max_iters)
-
-    edf = e.to_pandas()
-    u = edf["src"].to_numpy(np.int64)
-    v = edf["dst"].to_numpy(np.int64)
-    ids, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-    parent = np.arange(len(ids), dtype=np.int64)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(inv[: len(u)].tolist(), inv[len(u):].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    # full path compression: ids are sorted, so min index == min id
-    while True:
-        nxt = parent[parent]
-        if np.array_equal(nxt, parent):
-            break
-        parent = nxt
-    return ray.data.from_pandas(pd.DataFrame(
-        {"node_id": ids, "component": ids[parent]}))
-
-
 def largest_component_filter(edges: ray.data.Dataset,
-                             driver_node_threshold: int = 5_000_000,
                              ) -> ray.data.Dataset:
     """Keep edges of the largest connected component
     (reference utils/topology.py:775-825).  Ties on size break to the
     smallest component id (pandas idxmax-on-sorted-groupby contract).
 
-    The finish is gated (VERDICT r4 #2): below
-    ``driver_node_threshold`` labeled nodes the component table is
-    collected and reduced in pandas; above it component SIZES come
+    The finish is gated (VERDICT r4 #2): when the labeled nodes fit
+    the driver budget the component table is collected and reduced in
+    pandas; past it component SIZES come
     from a keyed shuffle (component-count-sized — only the winning id
     reaches the driver as a scalar) and membership filters the edges
     via a bucketed semi-join keyed by src, so nothing node- or
@@ -487,7 +432,9 @@ def largest_component_filter(edges: ray.data.Dataset,
     n_nodes = comp.count()
     if n_nodes == 0:
         return edges.filter(lambda r: False)
-    if n_nodes <= driver_node_threshold:
+    # collect 16 + the groupby's codes and sizes ~32 + the member mask
+    # and the boxed-id keep set ~64: 112 B per labeled node
+    if fits_driver(n_nodes * 112):
         cdf = comp.to_pandas()
         top = cdf.groupby("component").size().idxmax()
         keep = set(cdf.loc[cdf["component"] == top, "node_id"])

@@ -681,42 +681,16 @@ def cosine_join_exact(docs: ray.data.Dataset, threshold: float = 0.7,
 def _clusters_from_pairs(pairs: ray.data.Dataset, docs: ray.data.Dataset,
                          id_col: str = "doc_id") -> ray.data.Dataset:
     """(a, b) pair stream → (doc_id, cluster_id) over the WHOLE corpus;
-    cluster_id = min doc id of the connected component, singletons map
-    to themselves.  Small edge sets use driver union-find; big ones the
-    distributed large-star/small-star components.  Assignment is a
-    bucketed LEFT join — no component-map broadcast."""
-    edges = pairs.map_batches(
-        lambda b: b.rename(columns={"a": "src", "b": "dst"})[["src", "dst"]],
-        batch_format="pandas")
-    edges = edges.materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
-        comp = ray.data.from_pandas(
-            pd.DataFrame({"node_id": pd.Series(dtype=np.int64),
-                          "component": pd.Series(dtype=np.int64)}))
-    elif n_edges <= 1_000_000:
-        edf = edges.to_pandas()
-        parent: dict[int, int] = {}
-
-        def find(a: int) -> int:
-            while parent.setdefault(a, a) != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in edf.itertuples(index=False):
-            ru, rv = find(int(u)), find(int(v))
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        comp = ray.data.from_pandas(
-            pd.DataFrame({"node_id": np.asarray(list(parent), dtype=np.int64),
-                          "component": np.asarray([find(k) for k in parent],
-                                                  dtype=np.int64)}))
-    else:
-        from city2graph_ray.ops.topology import connected_components
-        comp = connected_components(edges)
-
+    cluster_id = min doc id of the connected component
+    (:func:`~city2graph_ray.ops.topology.connected_components`),
+    singletons map to themselves.  Assignment is a bucketed LEFT join
+    — no component-map broadcast."""
     from city2graph_ray.joins import bucketed_join
+    from city2graph_ray.ops.topology import connected_components
+
+    comp = connected_components(pairs.map_batches(
+        lambda b: b.rename(columns={"a": "src", "b": "dst"}),
+        batch_format="pandas"))
 
     ids = docs.map_batches(lambda t: t.select([id_col]),
                            batch_format="pyarrow")

@@ -22,6 +22,7 @@ ray.init(address="local", num_cpus=16, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
+from city2graph_ray import budget
 from city2graph_ray.ops.morphology import compute_enclosures
 
 n = int(sys.argv[1])
@@ -38,7 +39,8 @@ for r in range(n):
         coords.append(np.array([c * 10., r * 10., c * 10., r * 10. + 10.]))
 segs = pd.DataFrame({"seg_id": np.array(ids, np.int64), "coords": coords})
 t0 = time.time()
-ref = compute_enclosures(rd.from_pandas(segs), distributed_threshold=0)
+budget.DRIVER_BYTES = 0  # every gate takes its distributed branch
+ref = compute_enclosures(rd.from_pandas(segs))
 # consume the ref the way pipelines do: in a task, never on the driver
 n_enc = ray.get(ray.remote(lambda enc: len(enc)).remote(ref))
 del ref

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -27,6 +28,22 @@ def ray_session():
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def distributed(monkeypatch):
+    """``with distributed():`` runs its body with a 0-byte driver
+    budget, so every driver-or-distributed gate takes its distributed
+    branch."""
+    from city2graph_ray import budget
+
+    @contextlib.contextmanager
+    def force():
+        with monkeypatch.context() as m:
+            m.setattr(budget, "DRIVER_BYTES", 0)
+            yield
+
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -45,15 +45,15 @@ def test_pagerank_broadcast_matches_numpy():
         assert abs(got[k] - want[k]) < 1e-9, k
 
 
-def test_pagerank_join_strategy_agrees():
+def test_pagerank_join_strategy_agrees(distributed):
     from city2graph_ray.ops.graph_algos import pagerank
     df = _edges(40, 10)
-    a = (pagerank(rd.from_pandas(df), num_iters=3,
-                  strategy="broadcast").to_pandas()
+    a = (pagerank(rd.from_pandas(df), num_iters=3).to_pandas()
          .sort_values("node").reset_index(drop=True))
-    b = (pagerank(rd.from_pandas(df), num_iters=3, strategy="join",
-                  num_buckets=2).to_pandas()
-         .sort_values("node").reset_index(drop=True))
+    with distributed():
+        b = (pagerank(rd.from_pandas(df), num_iters=3,
+                      num_buckets=2).to_pandas()
+             .sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -132,18 +132,18 @@ def test_kcore_matches_networkx():
         assert core.degree[int(row["node"])] == int(row["deg"])
 
 
-def test_kcore_strategies_agree():
+def test_kcore_strategies_agree(distributed):
     from city2graph_ray.ops.graph_algos import kcore
     df = _edges(100, 18, seed=11)
     a = (kcore(rd.from_pandas(df), k=3).to_pandas()
          .sort_values("node").reset_index(drop=True))
-    b = (kcore(rd.from_pandas(df), k=3, driver_edge_threshold=0,
-               num_buckets=2).to_pandas()
-         .sort_values("node").reset_index(drop=True))
+    with distributed():
+        b = (kcore(rd.from_pandas(df), k=3, num_buckets=2).to_pandas()
+             .sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_kcore_empty_and_degenerate():
+def test_kcore_empty_and_degenerate(distributed):
     from city2graph_ray.ops.graph_algos import kcore
     # all self-loops -> empty core, typed schema (NB: .to_pandas() of a
     # 0-row from_arrow dataset drops columns — assert on the Dataset
@@ -154,8 +154,9 @@ def test_kcore_empty_and_degenerate():
     # k above max degree -> empty on both strategies
     df2 = _edges(30, 8, seed=5)
     assert kcore(rd.from_pandas(df2), k=50).to_pandas().empty
-    assert kcore(rd.from_pandas(df2), k=50, driver_edge_threshold=0,
-                 num_buckets=2).to_pandas().empty
+    with distributed():
+        assert kcore(rd.from_pandas(df2), k=50,
+                     num_buckets=2).to_pandas().empty
 
 
 def test_mode_by_tiebreak():
@@ -244,14 +245,15 @@ def test_label_propagation_matches_slow_oracle():
     assert got == want
 
 
-def test_label_propagation_strategies_agree():
+def test_label_propagation_strategies_agree(distributed):
     from city2graph_ray.ops.graph_algos import label_propagation
     df = _edges(80, 16, seed=9)
     a = (label_propagation(rd.from_pandas(df), num_iters=3).to_pandas()
          .sort_values("node").reset_index(drop=True))
-    b = (label_propagation(rd.from_pandas(df), num_iters=3,
-                           driver_edge_threshold=0, num_buckets=2)
-         .to_pandas().sort_values("node").reset_index(drop=True))
+    with distributed():
+        b = (label_propagation(rd.from_pandas(df), num_iters=3,
+                               num_buckets=2)
+             .to_pandas().sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -541,7 +543,7 @@ def test_ktruss_matches_networkx():
         assert got_edges == want, (k, len(got_edges), len(want))
 
 
-def test_ktruss_strategies_agree_and_empty():
+def test_ktruss_strategies_agree_and_empty(distributed):
     import ray.data as rd
     from city2graph_ray.ops.graph_algos import ktruss
     rng = np.random.default_rng(23)
@@ -549,8 +551,8 @@ def test_ktruss_strategies_agree_and_empty():
     b = rng.integers(0, 40, 250)
     df = pd.DataFrame({"src": a, "dst": b})
     loc = ktruss(rd.from_pandas(df), 4).to_pandas()
-    dist = ktruss(rd.from_pandas(df), 4, num_buckets=8,
-                  driver_edge_threshold=0).to_pandas()
+    with distributed():
+        dist = ktruss(rd.from_pandas(df), 4, num_buckets=8).to_pandas()
     key = lambda d: sorted(map(tuple, d[["a", "b", "support"]].to_numpy()))
     assert key(loc) == key(dist)
     # triangle-free graph → empty truss, typed columns intact
@@ -559,7 +561,8 @@ def test_ktruss_strategies_agree_and_empty():
     assert out.count() == 0 and out.schema().names == ["a", "b", "support"]
 
 
-def test_four_cliques_matches_bruteforce():
+def test_four_cliques_matches_bruteforce(distributed):
+    import contextlib
     from itertools import combinations
     import ray.data as rd
     from city2graph_ray.ops.graph_algos import four_cliques
@@ -573,8 +576,10 @@ def test_four_cliques_matches_bruteforce():
                   if all(p in es for p in combinations(q, 2)))
     assert want, "fixture must contain 4-cliques"
     df = pd.DataFrame({"src": a, "dst": b})
-    for kw in ({}, {"driver_edge_threshold": 0, "num_buckets": 8}):
-        got = four_cliques(rd.from_pandas(df), **kw).to_pandas()
+    for branch, kw in ((contextlib.nullcontext, {}),
+                       (distributed, {"num_buckets": 8})):
+        with branch():
+            got = four_cliques(rd.from_pandas(df), **kw).to_pandas()
         got_q = sorted(map(tuple, got.to_numpy()))
         assert got_q == want, (kw, len(got_q), len(want))
 
@@ -588,7 +593,9 @@ def test_four_cliques_empty():
     assert out.schema().names == ["n1", "n2", "n3", "n4"]
 
 
-def test_eccentricity_matches_networkx():
+def test_eccentricity_matches_networkx(distributed):
+    import contextlib
+
     import networkx as nx
     import ray.data as rd
     from city2graph_ray.ops.graph_algos import eccentricity
@@ -607,8 +614,10 @@ def test_eccentricity_matches_networkx():
         ecc = nx.eccentricity(sub)
         for v in comp:
             want[v] = (ecc[v], len(comp))
-    for kw in ({}, {"driver_node_threshold": 0, "num_buckets": 4}):
-        out = eccentricity(rd.from_pandas(df), **kw).to_pandas()
+    for branch, kw in ((contextlib.nullcontext, {}),
+                       (distributed, {"num_buckets": 4})):
+        with branch():
+            out = eccentricity(rd.from_pandas(df), **kw).to_pandas()
         got = {int(r.node): (int(r.ecc), int(r.n_reached))
                for r in out.itertuples()}
         assert got == want, kw
@@ -754,7 +763,7 @@ def test_degree_assortativity_matches_networkx():
     assert np.isnan(o2["r"].iloc[0])
 
 
-def test_mis_valid_and_strategies_agree():
+def test_mis_valid_and_strategies_agree(distributed):
     import networkx as nx
     import ray.data as rd
     from city2graph_ray.ops.graph_algos import maximal_independent_set
@@ -778,9 +787,9 @@ def test_mis_valid_and_strategies_agree():
     small = pd.DataFrame({"src": rng.integers(0, 12, 25),
                           "dst": rng.integers(0, 12, 25)})
     sl = maximal_independent_set(rd.from_pandas(small)).to_pandas()
-    sd = maximal_independent_set(rd.from_pandas(small),
-                                 driver_edge_threshold=0,
-                                 num_buckets=4).to_pandas()
+    with distributed():
+        sd = maximal_independent_set(rd.from_pandas(small),
+                                     num_buckets=4).to_pandas()
     key = lambda d: sorted(map(tuple, d[["node", "in_mis"]].to_numpy()))
     assert key(sl) == key(sd)
 
@@ -835,7 +844,7 @@ def test_deterministic_walks_argmin_and_dead_ends(ray_session):
         out.astype(np.int64), exp_df.astype(np.int64))
 
 
-def test_sssp_bounded_strategies_and_networkx(ray_session):
+def test_sssp_bounded_strategies_and_networkx(ray_session, distributed):
     import networkx as nx
     import numpy as np
     import pandas as pd
@@ -848,12 +857,12 @@ def test_sssp_bounded_strategies_and_networkx(ray_session):
     edges = pd.DataFrame({"src": src, "dst": dst, "w": w}) \
         .drop_duplicates(["src", "dst"])
     ds = rd.from_pandas(edges)
-    got_b = sssp_bounded(ds, source=0, rounds=4,
-                         strategy="broadcast").to_pandas() \
+    got_b = sssp_bounded(ds, source=0, rounds=4).to_pandas() \
         .sort_values("node").reset_index(drop=True)
-    got_j = sssp_bounded(ds, source=0, rounds=4, strategy="join",
-                         num_buckets=8).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
+    with distributed():
+        got_j = sssp_bounded(ds, source=0, rounds=4,
+                             num_buckets=8).to_pandas() \
+            .sort_values("node").reset_index(drop=True)
     pd.testing.assert_frame_equal(got_b, got_j)
     # bounded-hop reference: Bellman-Ford rounds in pure python
     INF = 1 << 40
@@ -869,7 +878,9 @@ def test_sssp_bounded_strategies_and_networkx(ray_session):
                                   check_dtype=False)
 
 
-def test_sssp_bounded_source_not_in_graph(ray_session):
+def test_sssp_bounded_source_not_in_graph(ray_session, distributed):
+    import contextlib
+
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -878,9 +889,9 @@ def test_sssp_bounded_source_not_in_graph(ray_session):
         "src": np.asarray([1, 2], np.int64),
         "dst": np.asarray([2, 3], np.int64),
         "w": np.asarray([1, 1], np.int64)}))
-    for strat in ("broadcast", "join"):
-        out = sssp_bounded(ds, source=99, rounds=3,
-                           strategy=strat).to_pandas()
+    for branch in (contextlib.nullcontext, distributed):
+        with branch():
+            out = sssp_bounded(ds, source=99, rounds=3).to_pandas()
         assert out["node"].tolist() == [99]
         assert out["dist"].tolist() == [0]
 
@@ -932,15 +943,14 @@ def test_scc_broadcast_vs_networkx():
     e = pd.DataFrame({"src": rng.integers(0, 40, 160),
                       "dst": rng.integers(0, 40, 160)}).astype(np.int64)
     got = strongly_connected_components(
-        rd.from_pandas(e), strategy="broadcast",
-        num_buckets=4).to_pandas()
+        rd.from_pandas(e), num_buckets=4).to_pandas()
     want = _scc_nx_oracle(e)
     assert len(got) == len(want)
     for _, r in got.iterrows():
         assert want[r["node"]] == r["scc_id"], r["node"]
 
 
-def test_scc_coloring_matches_broadcast():
+def test_scc_coloring_matches_broadcast(distributed):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -952,18 +962,16 @@ def test_scc_coloring_matches_broadcast():
     e = pd.DataFrame({
         "src": np.array([0, 1, 2, 2, 3, 5, 6, 8, 7], np.int64),
         "dst": np.array([1, 2, 0, 3, 5, 6, 5, 8, 0], np.int64)})
-    bc = (strongly_connected_components(rd.from_pandas(e),
-                                        strategy="broadcast",
-                                        num_buckets=4)
+    bc = (strongly_connected_components(rd.from_pandas(e), num_buckets=4)
           .to_pandas().sort_values("node").reset_index(drop=True))
-    cl = (strongly_connected_components(rd.from_pandas(e),
-                                        strategy="coloring",
-                                        num_buckets=4)
-          .to_pandas().sort_values("node").reset_index(drop=True))
+    with distributed():
+        cl = (strongly_connected_components(rd.from_pandas(e),
+                                            num_buckets=4)
+              .to_pandas().sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(bc, cl)
 
 
-def test_scc_chain_all_singletons_cycle_one():
+def test_scc_chain_all_singletons_cycle_one(distributed):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -971,13 +979,13 @@ def test_scc_chain_all_singletons_cycle_one():
 
     chain = pd.DataFrame({"src": np.arange(5, dtype=np.int64),
                           "dst": np.arange(1, 6, dtype=np.int64)})
-    got = strongly_connected_components(
-        rd.from_pandas(chain), strategy="broadcast").to_pandas()
+    got = strongly_connected_components(rd.from_pandas(chain)).to_pandas()
     assert (got["node"] == got["scc_id"]).all()
     cyc = pd.DataFrame({"src": np.array([0, 1, 2], np.int64),
                         "dst": np.array([1, 2, 0], np.int64)})
-    got2 = strongly_connected_components(
-        rd.from_pandas(cyc), strategy="coloring").to_pandas()
+    with distributed():
+        got2 = strongly_connected_components(
+            rd.from_pandas(cyc)).to_pandas()
     assert (got2["scc_id"] == 0).all() and len(got2) == 3
 
 
@@ -1133,7 +1141,7 @@ def test_markov_power_bruteforce():
         assert abs(r["prob"] - round(p[r["node"]], 6)) <= 2e-9
 
 
-def test_hits_driver_vs_distributed_parity():
+def test_hits_driver_vs_distributed_parity(distributed):
     """The r4 driver fast path must be bit-identical to the
     distributed bucketed-join rounds (same int64 unit recurrence)."""
     import ray.data as rd
@@ -1146,13 +1154,13 @@ def test_hits_driver_vs_distributed_parity():
         "dst": rng.integers(0, 60, 400).astype(np.int64)})
     a = (hits(rd.from_pandas(edges), num_iters=3)
          .to_pandas().sort_values("node").reset_index(drop=True))
-    b = (hits(rd.from_pandas(edges), num_iters=3,
-              driver_edge_threshold=0, num_buckets=4)
-         .to_pandas().sort_values("node").reset_index(drop=True))
+    with distributed():
+        b = (hits(rd.from_pandas(edges), num_iters=3, num_buckets=4)
+             .to_pandas().sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_dag_depth_and_markov_driver_vs_distributed_parity():
+def test_dag_depth_and_markov_driver_vs_distributed_parity(distributed):
     import ray.data as rd
 
     from city2graph_ray.ops.graph_algos import dag_longest_path, markov_power
@@ -1164,9 +1172,9 @@ def test_dag_depth_and_markov_driver_vs_distributed_parity():
     dag = pd.DataFrame({"src": a, "dst": a + b})
     x = (dag_longest_path(rd.from_pandas(dag), rounds=8)
          .to_pandas().sort_values("node").reset_index(drop=True))
-    y = (dag_longest_path(rd.from_pandas(dag), rounds=8,
-                          driver_edge_threshold=0, num_buckets=4)
-         .to_pandas().sort_values("node").reset_index(drop=True))
+    with distributed():
+        y = (dag_longest_path(rd.from_pandas(dag), rounds=8, num_buckets=4)
+             .to_pandas().sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(x, y)
 
     mk = pd.DataFrame({
@@ -1175,9 +1183,9 @@ def test_dag_depth_and_markov_driver_vs_distributed_parity():
         "w": rng.integers(1, 9, 200).astype(np.int64)})
     m1 = (markov_power(rd.from_pandas(mk), iters=4)
           .to_pandas().sort_values("node").reset_index(drop=True))
-    m2 = (markov_power(rd.from_pandas(mk), iters=4,
-                       driver_edge_threshold=0, num_buckets=4)
-          .to_pandas().sort_values("node").reset_index(drop=True))
+    with distributed():
+        m2 = (markov_power(rd.from_pandas(mk), iters=4, num_buckets=4)
+              .to_pandas().sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(m1, m2)
 
 
@@ -1221,10 +1229,10 @@ def test_condensation_driver_vs_distributed_parity():
     assert got == want
 
 
-def test_condensation_threshold_forces_distributed():
-    """ADVICE r4: condensation_edges' driver threshold is now a
-    parameter — threshold=0 runs the bucketed-join branch and must
-    produce the identical (scc_src, scc_dst) pair set."""
+def test_condensation_threshold_forces_distributed(distributed):
+    """ADVICE r4: a 0-byte driver budget runs condensation_edges'
+    bucketed-join branch, which must produce the identical
+    (scc_src, scc_dst) pair set."""
     import ray.data as rd
 
     from city2graph_ray.ops.graph_algos import condensation_edges
@@ -1239,14 +1247,15 @@ def test_condensation_threshold_forces_distributed():
                 .reset_index(drop=True))
 
     a = canon(condensation_edges(rd.from_pandas(edges)))
-    b = canon(condensation_edges(rd.from_pandas(edges),
-                                 driver_edge_threshold=0))
+    with distributed():
+        b = canon(condensation_edges(rd.from_pandas(edges)))
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_bowtie_threshold_forces_distributed():
-    """ADVICE r4: bowtie_structure threshold=0 runs the frontier-join
-    BFS branch; the five summary scalars must match the driver sweep."""
+def test_bowtie_threshold_forces_distributed(distributed):
+    """ADVICE r4: a 0-byte driver budget runs bowtie_structure's
+    frontier-join BFS branch; the five summary scalars must match the
+    driver sweep."""
     import ray.data as rd
 
     from city2graph_ray.ops.graph_algos import bowtie_structure
@@ -1257,8 +1266,8 @@ def test_bowtie_threshold_forces_distributed():
         "src": np.array([5, 6, 7, 1, 2, 7, 8, 30], dtype=np.int64),
         "dst": np.array([6, 7, 5, 2, 5, 8, 9, 31], dtype=np.int64)})
     a = bowtie_structure(rd.from_pandas(edges), rounds=6)
-    b = bowtie_structure(rd.from_pandas(edges), rounds=6,
-                         driver_edge_threshold=0)
+    with distributed():
+        b = bowtie_structure(rd.from_pandas(edges), rounds=6)
     pd.testing.assert_frame_equal(a.reset_index(drop=True),
                                   b.reset_index(drop=True))
     assert int(a["n_core"].iloc[0]) == 3
@@ -1297,7 +1306,7 @@ def test_clustering_hub_cap_celebrity_removal():
         assert r["degree"] == sub.degree(int(r["node"]))
 
 
-def test_harmonic_bitset_driver_vs_distributed_parity():
+def test_harmonic_bitset_driver_vs_distributed_parity(distributed):
     """r5 scale fix: harmonic_centrality's driver bitset-BFS (counts
     via bitwise_or.reduceat + popcount) must match the distributed
     Bellman-Ford histogram path bit-for-bit, and networkx."""
@@ -1311,9 +1320,9 @@ def test_harmonic_bitset_driver_vs_distributed_parity():
                       "dst": rng.integers(0, 150, 700).astype(np.int64)})
     a = (harmonic_centrality(rd.from_pandas(e), hops=3)
          .to_pandas().sort_values("node").reset_index(drop=True))
-    b = (harmonic_centrality(rd.from_pandas(e), hops=3,
-                             driver_node_threshold=0)
-         .to_pandas().sort_values("node").reset_index(drop=True))
+    with distributed():
+        b = (harmonic_centrality(rd.from_pandas(e), hops=3)
+             .to_pandas().sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
 
     g = nx.Graph()
@@ -1325,3 +1334,42 @@ def test_harmonic_bitset_driver_vs_distributed_parity():
         want = sum(1.0 / d for _, d in ls.items() if d > 0)
         assert n_r == r["n_reach"]
         assert abs(want - r["harmonic"]) < 1e-9
+
+
+def test_harmonic_dense_few_nodes_counts_bitset_bytes(monkeypatch):
+    """ADVICE: the bitset path allocates a cur[tails] gather of 2·m·w
+    bytes, n×w bitsets and an int64 popcount temporary on top of the
+    edge collect.  With the budget between the edge-collect estimate
+    and that total, a dense graph with few nodes must take the
+    distributed relaxation (bounded_hop_paths) and match the
+    default-budget output."""
+    import ray.data as rd
+
+    from city2graph_ray import budget
+    from city2graph_ray.ops import network
+    from city2graph_ray.ops.graph_algos import harmonic_centrality
+
+    n = 60
+    iu, ju = np.triu_indices(n, 1)          # complete graph
+    e = pd.DataFrame({"src": iu.astype(np.int64), "dst": ju.astype(np.int64)})
+    m, w = len(e), (n + 7) // 8
+    edge_bytes = 176 * m                    # the gate's edge estimate
+    bitset_bytes = 14 * n * w + 2 * (2 * m) * w
+
+    calls = []
+    real = network.bounded_hop_paths
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "bounded_hop_paths", spy)
+    a = (harmonic_centrality(rd.from_pandas(e), hops=2)
+         .to_pandas().sort_values("node").reset_index(drop=True))
+    assert not calls                        # default budget: bitset path
+    monkeypatch.setattr(budget, "DRIVER_BYTES",
+                        edge_bytes + bitset_bytes // 2)
+    b = (harmonic_centrality(rd.from_pandas(e), hops=2)
+         .to_pandas().sort_values("node").reset_index(drop=True))
+    assert calls
+    pd.testing.assert_frame_equal(a, b)

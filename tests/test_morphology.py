@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -17,6 +19,21 @@ from city2graph_ray.ops.morphology import (
     reachability_costs,
     zonal_tessellation,
 )
+
+
+@pytest.fixture
+def cell_path(monkeypatch):
+    """``with cell_path():`` sends assign_buildings_to_enclosures down
+    its cell-bucketed path whatever the enclosure count."""
+    from city2graph_ray.ops import morphology
+
+    @contextlib.contextmanager
+    def force():
+        with monkeypatch.context() as m:
+            m.setattr(morphology, "ASSIGN_BROADCAST_ENCLOSURES", 0)
+            yield
+
+    return force
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +77,7 @@ def _canon_ring(flat: np.ndarray) -> tuple:
     return tuple(np.roll(c, -i, axis=0).reshape(-1).round(9))
 
 
-def test_distributed_polygonizer_matches_local(street_grid):
+def test_distributed_polygonizer_matches_local(street_grid, distributed):
     """polygonize_faces_dataset (successor-permutation shuffles) must
     produce the same enclosure table as the driver polygonizer, up to
     ring rotation — on the grid and on an irregular arrangement with a
@@ -92,8 +109,8 @@ def test_distributed_polygonizer_matches_local(street_grid):
         for a, b in zip(got["seg_ids"], want["seg_ids"]):
             assert list(np.asarray(a)) == list(np.asarray(b))
         # compute_enclosures forced down the distributed path
-        ref = compute_enclosures(rd.from_pandas(segs),
-                                 distributed_threshold=0)
+        with distributed():
+            ref = compute_enclosures(rd.from_pandas(segs))
         got2 = _ray.get(ref)
         assert len(got2) == len(want)
         for a, b in zip(got2["coords"], want["coords"]):
@@ -375,7 +392,8 @@ def test_unenclosed_fallback_and_keep_buildings(street_grid,
     assert np.isclose(f9["bldg_x"].iloc[0], 200.0)
 
 
-def test_assign_bucketed_matches_broadcast(street_grid, grid_buildings):
+def test_assign_bucketed_matches_broadcast(street_grid, grid_buildings,
+                                           cell_path):
     """VERDICT r3 #2: the cell-bucketed assignment path must be
     row-identical to the broadcast first-match-wins loop."""
     from city2graph_ray.ops.morphology import assign_buildings_to_enclosures
@@ -388,15 +406,15 @@ def test_assign_bucketed_matches_broadcast(street_grid, grid_buildings):
 
     a = canon(assign_buildings_to_enclosures(
         rd.from_pandas(grid_buildings), enc).to_pandas())
-    b = canon(assign_buildings_to_enclosures(
-        rd.from_pandas(grid_buildings), enc,
-        broadcast_threshold=0).to_pandas())
+    with cell_path():
+        b = canon(assign_buildings_to_enclosures(
+            rd.from_pandas(grid_buildings), enc).to_pandas())
     pd.testing.assert_frame_equal(a, b)
     assert set(a["enclosure_index"]) <= {0, 1, 2, 3}
     assert (a["enclosure_index"] >= 0).all()
 
 
-def test_assign_bucketed_stress_10k_enclosures():
+def test_assign_bucketed_stress_10k_enclosures(cell_path):
     """10⁴ unit-square enclosures (100×100 grid): the bucketed path
     assigns every interior point to its own square, boundary points to
     the min-position (first-match) enclosure, and outside points to -1
@@ -427,8 +445,8 @@ def test_assign_bucketed_stress_10k_enclosures():
     bds = rd.from_pandas(pd.DataFrame({
         "id": np.arange(m + 2, dtype=np.int64), "x": bx, "y": by}))
 
-    out = assign_buildings_to_enclosures(
-        bds, enc, broadcast_threshold=0).to_pandas()
+    with cell_path():
+        out = assign_buildings_to_enclosures(bds, enc).to_pandas()
     out = out.sort_values("id").reset_index(drop=True)
     np.testing.assert_array_equal(out["enclosure_index"].to_numpy(), expect)
 
@@ -535,7 +553,8 @@ def test_fallback_keeps_schema_when_tessellation_empty(street_grid):
 
 
 def test_assign_bucketed_id_castability_and_outlier_clamp(street_grid,
-                                                          grid_buildings):
+                                                          grid_buildings,
+                                                          cell_path):
     """ADVICE r4: the cell-bucketed path (a) rejects non-int64-castable
     building ids with a clear TypeError instead of silently truncating,
     (b) accepts float ids that ARE losslessly castable, and (c) clamps
@@ -550,16 +569,14 @@ def test_assign_bucketed_id_castability_and_outlier_clamp(street_grid,
     # (a) string ids → loud failure in the cell path
     bad = grid_buildings.copy()
     bad["id"] = bad["id"].astype(str)
-    with pytest.raises(Exception, match="int64-castable"):
-        assign_buildings_to_enclosures(
-            rd.from_pandas(bad), enc, broadcast_threshold=0).to_pandas()
+    with pytest.raises(Exception, match="int64-castable"), cell_path():
+        assign_buildings_to_enclosures(rd.from_pandas(bad), enc).to_pandas()
 
     # (a') non-integral float ids → loud failure too
     frac = grid_buildings.copy()
     frac["id"] = frac["id"].astype(np.float64) + 0.5
-    with pytest.raises(Exception, match="int64-castable"):
-        assign_buildings_to_enclosures(
-            rd.from_pandas(frac), enc, broadcast_threshold=0).to_pandas()
+    with pytest.raises(Exception, match="int64-castable"), cell_path():
+        assign_buildings_to_enclosures(rd.from_pandas(frac), enc).to_pandas()
 
     # (b) integral float ids work and match the broadcast path
     okf = grid_buildings.copy()
@@ -572,8 +589,9 @@ def test_assign_bucketed_id_castability_and_outlier_clamp(street_grid,
 
     a = canon(assign_buildings_to_enclosures(
         rd.from_pandas(grid_buildings), enc).to_pandas())
-    b = canon(assign_buildings_to_enclosures(
-        rd.from_pandas(okf), enc, broadcast_threshold=0).to_pandas())
+    with cell_path():
+        b = canon(assign_buildings_to_enclosures(
+            rd.from_pandas(okf), enc).to_pandas())
     pd.testing.assert_frame_equal(a, b)
 
     # (c) one outlier enclosure 1000× the median side: default cell
@@ -590,9 +608,9 @@ def test_assign_bucketed_id_castability_and_outlier_clamp(street_grid,
     pts = pd.DataFrame({"id": np.arange(4, dtype=np.int64),
                         "x": [0.5, 2.5, 900.0, 5000.0],
                         "y": [0.5, 0.5, 900.0, 5000.0]})
-    out = (assign_buildings_to_enclosures(
-        rd.from_pandas(pts), enc2, broadcast_threshold=0)
-        .to_pandas().sort_values("id").reset_index(drop=True))
+    with cell_path():
+        out = (assign_buildings_to_enclosures(rd.from_pandas(pts), enc2)
+               .to_pandas().sort_values("id").reset_index(drop=True))
     np.testing.assert_array_equal(
         out["enclosure_index"].to_numpy(),
         np.array([0, 1, 3, -1], dtype=np.int64))

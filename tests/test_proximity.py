@@ -125,15 +125,16 @@ def test_emst_is_spanning_tree(pts):
                - sum(w["weight"] for *_, w in ref.edges(data=True))) < 1e-6
 
 
-def test_emst_boruvka_matches_kruskal(pts):
+def test_emst_boruvka_matches_kruskal(pts, distributed):
     """The distributed Borůvka finish must pick the IDENTICAL edge set
     as driver Kruskal (same (distance, src, dst) total order) — on the
     module fixture and on a tie-heavy integer grid where many candidate
     edges share the same length."""
     kr = _sorted(euclidean_minimum_spanning_tree(
-        rd.from_pandas(pts), strategy="kruskal").to_pandas())
-    bo = _sorted(euclidean_minimum_spanning_tree(
-        rd.from_pandas(pts), strategy="boruvka").to_pandas())
+        rd.from_pandas(pts)).to_pandas())
+    with distributed():
+        bo = _sorted(euclidean_minimum_spanning_tree(
+            rd.from_pandas(pts)).to_pandas())
     pd.testing.assert_frame_equal(
         kr[["src", "dst", "distance"]], bo[["src", "dst", "distance"]])
 
@@ -141,21 +142,23 @@ def test_emst_boruvka_matches_kruskal(pts):
     grid = pd.DataFrame({"id": np.arange(42, dtype=np.int64) * 3 + 5,
                          "x": gx.ravel(), "y": gy.ravel()})
     kr = _sorted(euclidean_minimum_spanning_tree(
-        rd.from_pandas(grid), strategy="kruskal").to_pandas())
-    bo = _sorted(euclidean_minimum_spanning_tree(
-        rd.from_pandas(grid), strategy="boruvka").to_pandas())
+        rd.from_pandas(grid)).to_pandas())
+    with distributed():
+        bo = _sorted(euclidean_minimum_spanning_tree(
+            rd.from_pandas(grid)).to_pandas())
     assert len(kr) == 41
     pd.testing.assert_frame_equal(
         kr[["src", "dst", "distance"]], bo[["src", "dst", "distance"]])
     # 2-point and 1-point degenerate inputs through the Borůvka path
     two = pd.DataFrame({"id": np.array([3, 9], dtype=np.int64),
                         "x": [0.0, 1.0], "y": [0.0, 0.0]})
-    assert euclidean_minimum_spanning_tree(
-        rd.from_pandas(two), strategy="boruvka").count() == 1
     one = pd.DataFrame({"id": np.array([3], dtype=np.int64),
                         "x": [0.0], "y": [0.0]})
-    assert euclidean_minimum_spanning_tree(
-        rd.from_pandas(one), strategy="boruvka").count() == 0
+    with distributed():
+        assert euclidean_minimum_spanning_tree(
+            rd.from_pandas(two)).count() == 1
+        assert euclidean_minimum_spanning_tree(
+            rd.from_pandas(one)).count() == 0
 
 
 def test_waxman_deterministic(pts):

@@ -236,24 +236,22 @@ def test_dbscan_all_noise(ray_session):
     assert out["is_core"].tolist() == [0, 0, 0]
 
 
-def test_components_dual_matches_distributed(ray_session):
+def test_connected_components_multigraph_matches_distributed(ray_session,
+                                                           distributed):
     import numpy as np
     import pandas as pd
     import ray.data as rd
-    from city2graph_ray.ops.topology import (components_dual,
-                                             connected_components)
+    from city2graph_ray.ops.topology import connected_components
     rng = np.random.RandomState(7)
     src = rng.randint(0, 400, 900).astype(np.int64)
     dst = rng.randint(0, 400, 900).astype(np.int64)
     edges = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst}))
-    a = components_dual(edges).to_pandas() \
+    a = connected_components(edges).to_pandas() \
         .sort_values("node_id").reset_index(drop=True)
-    b = connected_components(edges).to_pandas() \
-        .sort_values("node_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    # forced distributed path agrees too
-    c = components_dual(edges, driver_threshold=1).to_pandas() \
-        .sort_values("node_id").reset_index(drop=True)
+    # forced distributed path agrees
+    with distributed():
+        c = connected_components(edges).to_pandas() \
+            .sort_values("node_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, c)
 
 

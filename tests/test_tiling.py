@@ -487,7 +487,7 @@ def test_flow_accumulation_single_channel():
     assert chan["acc"].iloc[-1] >= len(chan)
 
 
-def test_flow_accumulation_doubling_matches_broadcast():
+def test_flow_accumulation_doubling_matches_broadcast(distributed):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -501,16 +501,15 @@ def test_flow_accumulation_doubling_matches_broadcast():
     dirs_ds = flow_direction_d8(
         rd.from_pandas(pd.DataFrame({"c": c, "r": r, "v": v})),
         num_buckets=4).materialize()
-    bc = (flow_accumulation(dirs_ds, num_buckets=4,
-                            strategy="broadcast").to_pandas()
+    bc = (flow_accumulation(dirs_ds, num_buckets=4).to_pandas()
           .sort_values(["c", "r"]).reset_index(drop=True))
-    db = (flow_accumulation(dirs_ds, num_buckets=4,
-                            strategy="doubling").to_pandas()
-          .sort_values(["c", "r"]).reset_index(drop=True))
+    with distributed():
+        db = (flow_accumulation(dirs_ds, num_buckets=4).to_pandas()
+              .sort_values(["c", "r"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(bc, db)
 
 
-def test_flow_watershed_bruteforce_and_strategies():
+def test_flow_watershed_bruteforce_and_strategies(distributed):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -532,13 +531,14 @@ def test_flow_watershed_bruteforce_and_strategies():
         while cur in nxt and nxt[cur] != cur:
             cur = nxt[cur]
         want[start] = cur
-    bc = (flow_watershed(dirs_ds, strategy="broadcast", num_buckets=4)
+    bc = (flow_watershed(dirs_ds, num_buckets=4)
           .to_pandas().sort_values(["c", "r"]).reset_index(drop=True))
     assert len(bc) == len(want)
     for _, row in bc.iterrows():
         assert (row["pit_c"], row["pit_r"]) == want[(row["c"], row["r"])]
-    jp = (flow_watershed(dirs_ds, strategy="jumping", num_buckets=4)
-          .to_pandas().sort_values(["c", "r"]).reset_index(drop=True))
+    with distributed():
+        jp = (flow_watershed(dirs_ds, num_buckets=4)
+              .to_pandas().sort_values(["c", "r"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(bc, jp)
 
 
