@@ -262,7 +262,7 @@ def clip_graph(nodes: ray.data.Dataset, edges: ray.data.Dataset,
     kept_edges = clip_edges(edges, ring, strict=strict).materialize()
     n_kept = kept_edges.count()
     if n_kept == 0:
-        return nodes.filter(lambda r: False), kept_edges
+        return nodes.limit(0), kept_edges
     # the kept edge frame as stored + the src and dst id sets and their
     # union, ~64 B per boxed id and 3 per edge: 192 B per edge
     if fits_driver(kept_edges.size_bytes() + n_kept * 192):
@@ -431,7 +431,7 @@ def largest_component_filter(edges: ray.data.Dataset,
     comp = connected_components(edges).materialize()
     n_nodes = comp.count()
     if n_nodes == 0:
-        return edges.filter(lambda r: False)
+        return edges.limit(0)
     # collect 16 + the groupby's codes and sizes ~32 + the member mask
     # and the boxed-id keep set ~64: 112 B per labeled node
     if fits_driver(n_nodes * 112):

@@ -8,24 +8,29 @@ Layout for a stage checkpoint:
         part-<partition_key>.parquet     (atomic: tmp + rename)
         _manifest/<partition_key>.json   (row/byte counters, input
                                           fingerprint, op version)
-        _schema.parquet                  (zero rows: the written schema)
+        _schema.parquet                  (zero rows: the stage schema)
         _DONE                            (stage-complete marker)
 
 ``checkpointed_write`` partitions the dataset by an explicit key column
 (cell id, enclosure id, bucket — the SAME key the stage shuffles on)
 through the engine's keyed shuffle (``exchange.keyed_exchange``) over
 Arrow groups: each reduce task writes every group it holds as is with
-``pq.write_table``, so the loaded schema equals the written one (nested
-struct field order, int widths, all-null columns).  It SKIPS
-partitions whose manifest entry already exists with a matching
-fingerprint and whose part file is present at the recorded size — a
-re-run after failure redoes only unfinished or lost partitions.  After the write it removes the part files and
-manifests of keys the write did not produce, so a stage directory holds
-exactly its last write's partitions.  ``load_checkpoint`` reads the
-complete partitions in one ``read_parquet`` over their files; a stage
-with none (an empty input) loads as an empty Dataset with the recorded
-schema.  The reference has no checkpointing (SURVEY.md §4); this is
-engine-native design.
+``pq.write_table`` (nested struct field order, int widths, all-null
+columns kept).  It SKIPS partitions whose manifest entry already exists
+with a matching fingerprint and whose part file is present at the
+recorded size — a re-run after failure redoes only unfinished or lost
+partitions.  After the write it removes the part files and manifests of
+keys the write did not produce, so a stage directory holds exactly its
+last write's partitions, and records the stage schema: the permissive
+union of its groups' schemas (a column that is all null in one group and
+strings in another is a string column).
+
+``load_checkpoint`` reads the complete partitions' part files in sorted
+key order with P lazy pyarrow reads, P the exchange's partition count
+for their bytes, and casts every block to the stage schema; a stage with
+none (an empty input) loads as an empty Dataset with that schema.  The
+reference has no checkpointing (SURVEY.md §4); this is engine-native
+design.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
-from city2graph_ray.exchange import keyed_exchange
+from city2graph_ray.exchange import _num_partitions, concat, keyed_exchange
 
 _SCHEMA = "_schema.parquet"
 
@@ -114,6 +119,7 @@ def checkpointed_write(
     mdir = _manifest_dir(root, stage_id)
     os.makedirs(mdir, exist_ok=True)
     done = completed_partitions(root, stage_id, fingerprint or None)
+    seen: set[bytes] = set()  # schemas this reduce task already returned
 
     def write_partition(g: pa.Table) -> pa.Table:
         key = str(g[partition_col][0].as_py())
@@ -127,8 +133,12 @@ def checkpointed_write(
                     "written_at": time.time()}
             _replace_atomic(lambda tmp: _write_json(meta, tmp),
                             os.path.join(mdir, f"{key}.json"))
+        schema = g.schema.serialize().to_pybytes()
+        fresh = schema not in seen
+        seen.add(schema)
         return pa.table({"partition": [key], "rows": [g.num_rows],
-                         "bytes": [nbytes], "skipped": [key in done]})
+                         "bytes": [nbytes], "skipped": [key in done],
+                         "schema": [schema if fresh else b""]})
 
     results = keyed_exchange(ds, [partition_col], write_partition,
                              batch_format="pyarrow").take_all()
@@ -140,8 +150,13 @@ def checkpointed_write(
     for f in os.listdir(mdir):
         if f.endswith(".json") and f[:-5] not in keys:
             os.remove(os.path.join(mdir, f))
-    schema = (pq.read_schema(_part_path(stage_dir, min(keys))) if keys
-              else _arrow_schema(ds))
+    # one schema for the stage: every group's, unified in key order
+    schemas = dict.fromkeys(
+        r["schema"] for r in sorted(results, key=lambda r: r["partition"])
+        if r["schema"])
+    schema = (pa.unify_schemas(
+        [pa.ipc.read_schema(pa.py_buffer(b)) for b in schemas],
+        promote_options="permissive") if schemas else _arrow_schema(ds))
     _replace_atomic(lambda tmp: pq.write_table(schema.empty_table(), tmp),
                     os.path.join(stage_dir, _SCHEMA))
     summary = {
@@ -166,16 +181,28 @@ def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
                       for n, t in zip(schema.names, schema.types)])
 
 
+def _read_parts(batch: pa.Table, schema: pa.Schema) -> pa.Table:
+    t = concat([pq.ParquetFile(p).read()
+                for p in batch["item"].to_pylist()] + [schema.empty_table()])
+    return t.select(schema.names).cast(schema)
+
+
 def load_checkpoint(root: str, stage_id: str) -> ray.data.Dataset:
-    """Read back every completed partition of a stage; an empty Dataset
-    with the written schema when there is none."""
+    """Read back every completed partition of a stage, lazily: its part
+    files in sorted key order, split over P reads (the exchange's
+    partition count for their bytes, at most one per file), each block
+    cast to the stage schema.  An empty Dataset with that schema when
+    there is none."""
     stage_dir = os.path.join(root, stage_id)
-    keys = completed_partitions(root, stage_id)
-    if not keys:
-        return ray.data.from_arrow(
-            pq.read_schema(os.path.join(stage_dir, _SCHEMA)).empty_table())
-    return ray.data.read_parquet(
-        [_part_path(stage_dir, k) for k in sorted(keys)])
+    schema = pq.read_schema(os.path.join(stage_dir, _SCHEMA))
+    paths = [_part_path(stage_dir, k)
+             for k in sorted(completed_partitions(root, stage_id))]
+    if not paths:
+        return ray.data.from_arrow(schema.empty_table())
+    P = min(len(paths), _num_partitions(sum(map(os.path.getsize, paths))))
+    return ray.data.from_items(paths, override_num_blocks=P).map_batches(
+        _read_parts, batch_format="pyarrow", batch_size=None,
+        fn_kwargs={"schema": schema})
 
 
 def stage_metrics(root: str, stage_id: str) -> list[dict]:

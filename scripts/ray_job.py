@@ -15,10 +15,10 @@ cluster)::
 
 Every pipeline registered in ``__ray_entry__.queries()`` is runnable.
 The result is checkpoint-written as partitioned Parquet via
-``state.lineage.checkpointed_write`` (one directory per partition-hash,
-manifest-fingerprinted), so a re-submitted job skips finished
-partitions — resume semantics on the job boundary, not just inside a
-run.  Without ``--output`` the row count and schema are printed (smoke
+``state.lineage.checkpointed_write`` (one part file and one manifest
+per partition key, manifest-fingerprinted), so a re-submitted job skips
+finished partitions — resume semantics on the job boundary, not just
+inside a run.  Without ``--output`` the row count and schema are printed (smoke
 mode).
 """
 

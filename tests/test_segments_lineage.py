@@ -242,6 +242,64 @@ def test_checkpoint_round_trip_keeps_nested_schema(tmp_path):
     assert sorted(back.to_pylist(), key=lambda r: r["doc_id"]) == rows
 
 
+def test_checkpoint_loads_one_schema_across_partitions(tmp_path):
+    """Column ``m`` is all null in key 1 and strings in key 2: the stage
+    loads as one string column, in every block."""
+    import pyarrow as pa
+
+    from city2graph_ray.state.lineage import (checkpointed_write,
+                                              load_checkpoint)
+    a = pd.DataFrame({"cell": [1, 1], "m": [None, None], "v": [0, 1]})
+    b = pd.DataFrame({"cell": [2, 2], "m": ["x", "y"], "v": [2, 3]})
+    root = str(tmp_path)
+    checkpointed_write(rd.from_pandas([a, b]), root, "stage_f", "cell",
+                       fingerprint="fp")
+    back = load_checkpoint(root, "stage_f")
+    schema = back.schema().base_schema
+    assert schema.field("m").type == pa.string()
+    batches = list(back.iter_batches(batch_format="pyarrow",
+                                     batch_size=None))
+    assert all(t.schema.field("m").type == pa.string() for t in batches)
+    rows = sorted(pa.concat_tables(batches).to_pylist(),
+                  key=lambda r: r["v"])
+    assert [r["m"] for r in rows] == [None, None, "x", "y"]
+
+
+def test_checkpoint_load_reads_without_read_parquet(tmp_path, monkeypatch):
+    """The loader reads the part files itself, in at most the exchange's
+    partition count of blocks, and keeps rows and nested types."""
+    import os
+
+    import pyarrow as pa
+    import ray.data
+
+    from city2graph_ray.exchange import _num_partitions
+    from city2graph_ray.state.lineage import (checkpointed_write,
+                                              load_checkpoint)
+
+    def no_read_parquet(*args, **kwargs):
+        raise AssertionError("load_checkpoint called read_parquet")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_read_parquet)
+    span = pa.struct([("kind", pa.string()), ("offset", pa.int32())])
+    schema = pa.schema([("doc_id", pa.int64()), ("tile", pa.int64()),
+                        ("spans", pa.list_(span))])
+    rows = [{"doc_id": d, "tile": d % 300,
+             "spans": [{"kind": "text", "offset": d % 7}]}
+            for d in range(900)]
+    root = str(tmp_path)
+    s = checkpointed_write(rd.from_arrow(pa.Table.from_pylist(rows, schema)),
+                           root, "many", "tile", fingerprint="fp")
+    assert s["partitions"] == 300
+    parts = [p for p in (tmp_path / "many").glob("part-*.parquet")]
+    loaded = load_checkpoint(root, "many").materialize()
+    assert loaded.num_blocks() <= _num_partitions(
+        sum(os.path.getsize(p) for p in parts))
+    back = pa.concat_tables(loaded.iter_batches(batch_format="pyarrow"))
+    assert back.schema.remove_metadata() == schema
+    assert sorted(back.to_pylist(), key=lambda r: r["doc_id"]) == rows
+
+
 def test_prepare_barriers(seg_df):
     from city2graph_ray.ops.segments import barrier_geometries, prepare_barriers
     with_b = barrier_geometries(rd.from_pandas(seg_df))

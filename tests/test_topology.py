@@ -131,6 +131,32 @@ def test_clip_graph():
     assert set(kn.to_pandas()["node_id"]) == {0, 1, 2}
 
 
+def test_clip_graph_nothing_kept_keeps_columns():
+    from city2graph_ray.ops.topology import clip_graph
+    nodes = pd.DataFrame({"node_id": [0, 1], "x": [50.0, 60.0],
+                          "y": [50.0, 60.0]})
+    edges = pd.DataFrame({"src": [0], "dst": [1], "sx": [50.0],
+                          "sy": [50.0], "dx_": [60.0], "dy_": [60.0]})
+    ring = np.array([0.0, 0.0, 10.0, 0.0, 10.0, 10.0, 0.0, 10.0])
+    kn, ke = clip_graph(rd.from_pandas(nodes), rd.from_pandas(edges), ring)
+    assert kn.count() == 0 and ke.count() == 0
+    assert kn.schema() is not None and ke.schema() is not None
+    assert kn.schema().names == list(nodes.columns)
+    assert ke.schema().names == list(edges.columns)
+
+
+def test_largest_component_filter_nothing_kept_keeps_columns():
+    """Self-loops only: no component, so no edge is kept."""
+    from city2graph_ray.ops.topology import largest_component_filter
+    edges = pd.DataFrame({"src": np.array([1, 2], dtype=np.int64),
+                          "dst": np.array([1, 2], dtype=np.int64),
+                          "w": [1.0, 2.0]})
+    out = largest_component_filter(rd.from_pandas(edges))
+    assert out.count() == 0
+    assert out.schema() is not None
+    assert out.schema().names == list(edges.columns)
+
+
 def test_cc_driver_vs_distributed_parity(distributed):
     import ray.data as rd
 
