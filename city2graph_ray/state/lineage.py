@@ -119,7 +119,9 @@ def checkpointed_write(
     mdir = _manifest_dir(root, stage_id)
     os.makedirs(mdir, exist_ok=True)
     done = completed_partitions(root, stage_id, fingerprint or None)
-    seen: set[bytes] = set()  # schemas this reduce task already returned
+    # a reduce task's groups share one schema: return it once per task,
+    # so the per-group results stay small
+    seen: set[bytes] = set()
 
     def write_partition(g: pa.Table) -> pa.Table:
         key = str(g[partition_col][0].as_py())
@@ -182,7 +184,9 @@ def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
 
 
 def _read_parts(batch: pa.Table, schema: pa.Schema) -> pa.Table:
-    t = concat([pq.ParquetFile(p).read()
+    # part files hold a few rows each: read them on this thread, without
+    # starting Arrow's thread pool in the worker
+    t = concat([pq.ParquetFile(p).read(use_threads=False)
                 for p in batch["item"].to_pylist()] + [schema.empty_table()])
     return t.select(schema.names).cast(schema)
 

@@ -18,8 +18,8 @@ The result is checkpoint-written as partitioned Parquet via
 ``state.lineage.checkpointed_write`` (one part file and one manifest
 per partition key, manifest-fingerprinted), so a re-submitted job skips
 finished partitions — resume semantics on the job boundary, not just
-inside a run.  Without ``--output`` the row count and schema are printed (smoke
-mode).
+inside a run.  Without ``--output`` the row count and schema are
+printed (smoke mode).
 """
 
 from __future__ import annotations

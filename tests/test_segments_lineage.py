@@ -291,7 +291,7 @@ def test_checkpoint_load_reads_without_read_parquet(tmp_path, monkeypatch):
     s = checkpointed_write(rd.from_arrow(pa.Table.from_pylist(rows, schema)),
                            root, "many", "tile", fingerprint="fp")
     assert s["partitions"] == 300
-    parts = [p for p in (tmp_path / "many").glob("part-*.parquet")]
+    parts = list((tmp_path / "many").glob("part-*.parquet"))
     loaded = load_checkpoint(root, "many").materialize()
     assert loaded.num_blocks() <= _num_partitions(
         sum(os.path.getsize(p) for p in parts))
